@@ -12,9 +12,9 @@ when no ``--seed`` flag is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
-import struct
 import sys
 from pathlib import Path
 
@@ -23,10 +23,11 @@ import numpy as np
 from . import __version__
 from .data import (
     NODATA,
-    BitemporalTile,
     SceneParams,
     generate_scene,
+    read_mask,
     read_tile,
+    write_mask,
     write_tile,
 )
 from .errors import (
@@ -54,8 +55,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-MASK_MAGIC = b"BTM1"
-
 CONFUSION_COLORS = {
     "tp": (255, 255, 255),
     "tn": (0, 0, 0),
@@ -63,10 +62,6 @@ CONFUSION_COLORS = {
     "fn": (0, 0, 255),
     "nodata": (128, 128, 128),
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 def resolve_seed(flag_value: int | None, default: int = 0) -> int:
@@ -77,50 +72,30 @@ def resolve_seed(flag_value: int | None, default: int = 0) -> int:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"DIFFNET_SEED must be an integer, got {env!r}") from None
+            raise ConfigError(f"DIFFNET_SEED must be an integer, got {env!r}") from None
     return default
 
 
-def write_manifest(path: Path, subcommand: str, args: dict, inputs: list, outputs: list) -> None:
+def write_manifest(
+    args: argparse.Namespace, inputs: list, outputs: list, path: Path | None = None
+) -> None:
+    """Record the subcommand and every flag as parsed (after seed and
+    default-path resolution), keyed by flag name.  The manifest goes to
+    ``path``, by default ``<first output>.manifest.json``."""
+    flags = {
+        k.replace("_", "-"): v
+        for k, v in vars(args).items()
+        if k not in ("func", "subcommand")
+    }
     doc = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "tool_version": __version__,
-        "args": args,
+        "args": flags,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
+    path = path or Path(f"{outputs[0]}.manifest.json")
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-# -- mask files (BTM1) ---------------------------------------------------------
-
-
-def write_mask(mask: np.ndarray, path) -> None:
-    """Mask file: magic BTM1, uint32 H, uint32 W, then H*W bytes."""
-    m = np.ascontiguousarray(mask, dtype=np.uint8)
-    h, w = m.shape
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(MASK_MAGIC + struct.pack("<II", h, w) + m.tobytes())
-    os.replace(tmp, path)
-
-
-def read_mask(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12:
-        raise TileFormatError(f"truncated mask header: file ends at byte {len(blob)}")
-    if blob[:4] != MASK_MAGIC:
-        raise TileFormatError(
-            f"bad magic {blob[:4]!r} at byte 0, expected {MASK_MAGIC!r}"
-        )
-    h, w = struct.unpack_from("<II", blob, 4)
-    if len(blob) != 12 + h * w:
-        raise TileFormatError(
-            f"truncated mask payload: file ends at byte {len(blob)}, "
-            f"expected {12 + h * w} for {h}x{w}"
-        )
-    return np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=12).reshape(h, w).copy()
 
 
 def _load_any_mask(path: Path) -> np.ndarray:
@@ -137,7 +112,7 @@ def render_confusion(pred: np.ndarray, truth: np.ndarray, out_path) -> None:
     p = np.asarray(pred)
     t = np.asarray(truth)
     if p.shape != t.shape:
-        raise UsageError(f"pred shape {p.shape} does not match truth shape {t.shape}")
+        raise ConfigError(f"pred shape {p.shape} does not match truth shape {t.shape}")
     h, w = t.shape
     img = np.zeros((h, w, 3), dtype=np.uint8)
     valid = (t != NODATA) & (p != NODATA)
@@ -156,7 +131,7 @@ def render_confusion(pred: np.ndarray, truth: np.ndarray, out_path) -> None:
 
 
 def cmd_gen(args) -> int:
-    seed = resolve_seed(args.seed)
+    args.seed = resolve_seed(args.seed)
     params = SceneParams(
         channels=args.channels,
         size=(args.height, args.width),
@@ -171,39 +146,20 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i in range(args.count):
-        tile = generate_scene(params, seed=seed + i)
+        tile = generate_scene(params, seed=args.seed + i)
         path = out_dir / f"tile_{i:05d}.btt"
         write_tile(tile, path)
         outputs.append(path)
-    write_manifest(
-        out_dir / "manifest.json",
-        "gen",
-        {
-            "out-dir": str(out_dir),
-            "count": args.count,
-            "seed": seed,
-            "channels": args.channels,
-            "height": args.height,
-            "width": args.width,
-            "burn-fraction": args.burn_fraction,
-            "scar-blobs": args.scar_blobs,
-            "burn-offset-scale": args.burn_offset_scale,
-            "seasonal-drift-scale": args.seasonal_drift_scale,
-            "confuser-blobs": args.confuser_blobs,
-            "noise-sigma": args.noise_sigma,
-        },
-        inputs=[],
-        outputs=outputs,
-    )
+    write_manifest(args, [], outputs, out_dir / "manifest.json")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    seed = resolve_seed(args.seed)
+    args.seed = resolve_seed(args.seed)
     data_dir = Path(args.data_dir)
     tile_paths = sorted(data_dir.glob("*.btt"))
     if not tile_paths:
-        raise UsageError(f"no .btt tiles found in {data_dir}")
+        raise ConfigError(f"no .btt tiles found in {data_dir}")
     tiles = [read_tile(p) for p in tile_paths]
 
     pos_weight = None if args.pos_weight == "auto" else float(args.pos_weight)
@@ -212,7 +168,7 @@ def cmd_train(args) -> int:
         steps=args.steps,
         batch_size=args.batch_size,
         patch_size=args.patch_size,
-        seed=seed,
+        seed=args.seed,
         loss=LossConfig(alpha=args.alpha, pos_weight=pos_weight, dice_eps=args.dice_eps),
         log_every=args.log_every,
     )
@@ -225,30 +181,10 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
-    log_csv = Path(args.log_csv) if args.log_csv else Path(str(out) + ".log.csv")
+    args.log_csv = args.log_csv or f"{args.out}.log.csv"
+    log_csv = Path(args.log_csv)
     log.to_csv(log_csv)
-    write_manifest(
-        Path(str(out) + ".manifest.json"),
-        "train",
-        {
-            "data-dir": str(data_dir),
-            "out": str(out),
-            "log-csv": str(log_csv),
-            "base-width": args.base_width,
-            "model-seed": args.model_seed,
-            "lr": args.lr,
-            "steps": args.steps,
-            "batch-size": args.batch_size,
-            "patch-size": args.patch_size,
-            "seed": seed,
-            "alpha": args.alpha,
-            "pos-weight": args.pos_weight,
-            "dice-eps": args.dice_eps,
-            "log-every": args.log_every,
-        },
-        inputs=tile_paths,
-        outputs=[out, log_csv],
-    )
+    write_manifest(args, tile_paths, [out, log_csv])
     return EXIT_OK
 
 
@@ -265,24 +201,13 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_mask(mask, out)
-    write_manifest(
-        Path(str(out) + ".manifest.json"),
-        "predict",
-        {
-            "checkpoint": str(args.checkpoint),
-            "tile": str(args.tile),
-            "threshold": args.threshold,
-            "out": str(out),
-        },
-        inputs=[args.checkpoint, args.tile],
-        outputs=[out],
-    )
+    write_manifest(args, [args.checkpoint, args.tile], [out])
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     if len(args.pred) != len(args.truth):
-        raise UsageError(
+        raise ConfigError(
             f"site count mismatch: {len(args.pred)} predictions vs "
             f"{len(args.truth)} truth files"
         )
@@ -300,17 +225,7 @@ def cmd_eval(args) -> int:
     for site, m in rows + [("mean", mean_set), ("std", std_set)]:
         lines.append(site + "," + ",".join(f"{v:.6f}" for v in m.as_tuple()))
     out.write_text("\n".join(lines) + "\n")
-    write_manifest(
-        Path(str(out) + ".manifest.json"),
-        "eval",
-        {
-            "pred": [str(p) for p in args.pred],
-            "truth": [str(p) for p in args.truth],
-            "out": str(out),
-        },
-        inputs=list(args.pred) + list(args.truth),
-        outputs=[out],
-    )
+    write_manifest(args, args.pred + args.truth, [out])
     return EXIT_OK
 
 
@@ -320,20 +235,17 @@ def cmd_render(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     render_confusion(pred, truth, out)
-    write_manifest(
-        Path(str(out) + ".manifest.json"),
-        "render",
-        {"pred": str(args.pred), "truth": str(args.truth), "out": str(out)},
-        inputs=[args.pred, args.truth],
-        outputs=[out],
-    )
+    write_manifest(args, [args.pred, args.truth], [out])
     return EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="diffnet",
         description="Bitemporal burned-area change detection on synthetic embedding tiles",
@@ -403,7 +315,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ConfigError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (TileFormatError, CheckpointFormatError, ShapeError, ContractError, OSError) as e:

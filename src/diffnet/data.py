@@ -1,4 +1,4 @@
-"""Bitemporal tile container, synthetic scene generation and normalization.
+"""Bitemporal tile container, binary file I/O and synthetic scene generation.
 
 Tiles hold a pre image, a post image (both C x H x W float32) and an
 H x W uint8 mask where 0 = unchanged, 1 = burned, 255 = nodata.
@@ -6,7 +6,10 @@ H x W uint8 mask where 0 = unchanged, 1 = burned, 255 = nodata.
 The on-disk BTT1 format is bit-exact: 4-byte magic ``BTT1``, three
 little-endian uint32 (C, H, W), the pre array as C*H*W little-endian
 float32 row-major, the post array likewise, then the mask as H*W bytes.
-No padding, no checksum.
+A BTM1 mask file is magic ``BTM1``, uint32 H and W, then the H*W mask
+bytes.  No padding, no checksum.  Both formats, and the SUNC checkpoints
+of ``train.py``, are read through one bounded reader and written through
+one atomic writer.
 
 The scene generator is a desk-scale stand-in for annual embedding tiles:
 smooth per-channel value-noise fields, elliptical burn scars that shift
@@ -16,15 +19,18 @@ shift only a small channel subset.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, TileFormatError
+from .errors import ConfigError, TileFormatError
 
 MAGIC = b"BTT1"
+MASK_MAGIC = b"BTM1"
 HEADER = struct.Struct("<4sIII")
 NODATA = 255
 MAX_DIM = 1 << 24  # sanity bound; C*H*W*8 must also fit in memory
@@ -95,63 +101,128 @@ class SceneParams:
                 raise ConfigError(f"{name} must be nonnegative")
 
 
-# -- BTT1 file I/O -----------------------------------------------------------
+# -- binary file I/O ----------------------------------------------------------
+
+
+class ByteReader:
+    """Bounded cursor over the bytes of one file, shared by the BTT1, BTM1
+    and SUNC readers.
+
+    Every read checks the remaining length before it slices or allocates,
+    so a corrupt length or dimension field cannot ask for more memory than
+    the file holds.  Every failure raises ``error``, the format's own
+    exception type, naming the byte offset of the problem.
+    """
+
+    def __init__(self, path, error: type[ValueError]):
+        with open(path, "rb") as f:
+            self.view = memoryview(f.read())
+        self.off = 0
+        self.error = error
+
+    def fail(self, message: str, at: int) -> NoReturn:
+        raise self.error(f"{message} at byte {at}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        if self.off + n > len(self.view):
+            self.fail(
+                f"truncated {what}: file ends at byte {len(self.view)}, "
+                f"needs {n} bytes",
+                self.off,
+            )
+        self.off += n
+        return self.view[self.off - n : self.off]
+
+    def magic(self, expected: bytes) -> None:
+        got = bytes(self.take(len(expected), "magic"))
+        if got != expected:
+            self.fail(f"bad magic {got!r} (expected {expected!r})", 0)
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        """Little-endian ``struct`` fields."""
+        layout = struct.Struct("<" + fmt)
+        return layout.unpack(self.take(layout.size, what))
+
+    def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A row-major array copied out of the file; the byte count is an
+        exact integer product, so huge dims cannot wrap around."""
+        dtype = np.dtype(dtype)
+        data = self.take(math.prod(shape) * dtype.itemsize, what)
+        return np.frombuffer(data, dtype).reshape(shape).copy()
+
+    def text(self, n: int, what: str) -> str:
+        start = self.off
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError as e:
+            self.fail(f"{what} is not valid UTF-8", start + e.start)
+
+    def mask(self, h: int, w: int) -> np.ndarray:
+        """H*W mask bytes, each one of 0, 1 or NODATA."""
+        start = self.off
+        mask = self.array(np.uint8, (h, w), "mask")
+        bad = np.flatnonzero((mask > 1) & (mask != NODATA))
+        if bad.size:
+            self.fail(f"invalid mask value {mask.flat[bad[0]]}", start + int(bad[0]))
+        return mask
+
+    def end(self) -> None:
+        if self.off != len(self.view):
+            self.fail(f"{len(self.view) - self.off} trailing bytes", self.off)
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks whole-file atomically: a temp file beside
+    ``path``, then a rename, so no reader ever sees a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.writelines(chunks)
+    os.replace(tmp, path)
 
 
 def write_tile(tile: BitemporalTile, path) -> None:
-    """Serialize a tile; the write is whole-file atomic (temp + rename)."""
+    """Serialize a tile as BTT1; the write is whole-file atomic."""
     c, h, w = tile.pre.shape
-    payload = b"".join(
+    write_atomic(
+        path,
         (
             HEADER.pack(MAGIC, c, h, w),
             tile.pre.astype("<f4", copy=False).tobytes(),
             tile.post.astype("<f4", copy=False).tobytes(),
             tile.mask.tobytes(),
-        )
+        ),
     )
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(payload)
-    os.replace(tmp, path)
 
 
 def read_tile(path) -> BitemporalTile:
-    """Parse a BTT1 file; malformed input raises TileFormatError with the
-    byte offset of the problem."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < HEADER.size:
-        raise TileFormatError(
-            f"truncated header: file ends at byte {len(blob)}, "
-            f"need {HEADER.size}"
-        )
-    magic, c, h, w = HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise TileFormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
+    """Parse a BTT1 file; malformed input raises TileFormatError."""
+    r = ByteReader(path, TileFormatError)
+    r.magic(MAGIC)
+    c, h, w = r.unpack("III", "header")
     if not (0 < c <= MAX_DIM and 0 < h <= MAX_DIM and 0 < w <= MAX_DIM):
-        raise TileFormatError(
-            f"dimension overflow at byte 4: C={c}, H={h}, W={w}"
-        )
-    n_img = c * h * w
-    expected = HEADER.size + 8 * n_img + h * w
-    if len(blob) != expected:
-        raise TileFormatError(
-            f"truncated payload: file ends at byte {len(blob)}, "
-            f"expected {expected} for C={c}, H={h}, W={w}"
-        )
-    off = HEADER.size
-    pre = np.frombuffer(blob, dtype="<f4", count=n_img, offset=off).reshape(c, h, w)
-    off += 4 * n_img
-    post = np.frombuffer(blob, dtype="<f4", count=n_img, offset=off).reshape(c, h, w)
-    off += 4 * n_img
-    mask = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=off).reshape(h, w)
-    bad = ~np.isin(mask, (0, 1, NODATA))
-    if bad.any():
-        first = int(np.flatnonzero(bad.reshape(-1))[0])
-        raise TileFormatError(
-            f"invalid mask value {int(mask.reshape(-1)[first])} at byte {off + first}"
-        )
-    return BitemporalTile(pre=pre.copy(), post=post.copy(), mask=mask.copy())
+        r.fail(f"dimension overflow: C={c}, H={h}, W={w}", 4)
+    pre = r.array("<f4", (c, h, w), "pre image")
+    post = r.array("<f4", (c, h, w), "post image")
+    mask = r.mask(h, w)
+    r.end()
+    return BitemporalTile(pre=pre, post=post, mask=mask)
+
+
+def write_mask(mask: np.ndarray, path) -> None:
+    """Serialize an H x W mask as BTM1; the write is whole-file atomic."""
+    m = np.ascontiguousarray(mask, dtype=np.uint8)
+    h, w = m.shape
+    write_atomic(path, (MASK_MAGIC, struct.pack("<II", h, w), m.tobytes()))
+
+
+def read_mask(path) -> np.ndarray:
+    """Parse a BTM1 file; malformed input raises TileFormatError."""
+    r = ByteReader(path, TileFormatError)
+    r.magic(MASK_MAGIC)
+    h, w = r.unpack("II", "mask header")
+    mask = r.mask(h, w)
+    r.end()
+    return mask
 
 
 # -- synthetic scene generation ----------------------------------------------
@@ -271,86 +342,3 @@ def generate_scene(params: SceneParams, seed: int) -> BitemporalTile:
 
     mask = scar.astype(np.uint8)
     return BitemporalTile(pre=pre, post=post.astype(np.float32), mask=mask)
-
-
-# -- patch sampling and normalization ----------------------------------------
-
-
-def sample_patches(
-    tile: BitemporalTile,
-    patch: int,
-    n: int,
-    balance_min_burn: float = 0.0,
-    seed: int = 0,
-    max_tries: int = 200,
-) -> list[BitemporalTile]:
-    """Draw n patches; at least half meet the burn-fraction floor when the
-    tile allows it, the rest are uniform random."""
-    if patch % 32:
-        raise ConfigError(f"patch size must be a multiple of 32, got {patch}")
-    h, w = tile.height, tile.width
-    if patch > min(h, w):
-        raise ContractError(
-            f"patch {patch} exceeds tile size {h}x{w}"
-        )
-    rng = np.random.default_rng(np.random.PCG64(seed))
-
-    def cut(y: int, x: int) -> BitemporalTile:
-        return BitemporalTile(
-            pre=tile.pre[:, y : y + patch, x : x + patch].copy(),
-            post=tile.post[:, y : y + patch, x : x + patch].copy(),
-            mask=tile.mask[y : y + patch, x : x + patch].copy(),
-        )
-
-    def draw() -> tuple[int, int]:
-        return int(rng.integers(0, h - patch + 1)), int(rng.integers(0, w - patch + 1))
-
-    out: list[BitemporalTile] = []
-    n_balanced = (n + 1) // 2
-    for _ in range(n_balanced):
-        best, best_frac = None, -1.0
-        for _ in range(max_tries):
-            y, x = draw()
-            frac = float((tile.mask[y : y + patch, x : x + patch] == 1).mean())
-            if frac > best_frac:
-                best, best_frac = (y, x), frac
-            if frac >= balance_min_burn:
-                break
-        out.append(cut(*best))
-    for _ in range(n - n_balanced):
-        out.append(cut(*draw()))
-    return out
-
-
-def channel_stats(tiles: list[BitemporalTile]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and std pooled over pre and post images of all
-    tiles; std is floored at 1e-6."""
-    if not tiles:
-        raise ContractError("channel_stats requires at least one tile")
-    c = tiles[0].channels
-    total = 0
-    s1 = np.zeros(c, dtype=np.float64)
-    s2 = np.zeros(c, dtype=np.float64)
-    for t in tiles:
-        for img in (t.pre, t.post):
-            flat = img.reshape(c, -1).astype(np.float64)
-            s1 += flat.sum(axis=1)
-            s2 += (flat * flat).sum(axis=1)
-            total += flat.shape[1]
-    mean = s1 / total
-    var = np.maximum(s2 / total - mean * mean, 0.0)
-    std = np.maximum(np.sqrt(var), 1e-6)
-    return mean.astype(np.float32), std.astype(np.float32)
-
-
-def standardize(tile: BitemporalTile, stats: tuple[np.ndarray, np.ndarray]) -> BitemporalTile:
-    """Apply (x - mean) / std per channel to both images with the same
-    stats, so pre/post differences survive up to the per-channel scale."""
-    mean, std = stats
-    m = mean[:, None, None]
-    s = std[:, None, None]
-    return BitemporalTile(
-        pre=(tile.pre - m) / s,
-        post=(tile.post - m) / s,
-        mask=tile.mask.copy(),
-    )

@@ -39,13 +39,6 @@ class LossConfig:
         if self.dice_eps <= 0:
             raise ConfigError(f"dice_eps must be positive, got {self.dice_eps}")
 
-    @property
-    def lambda_dice(self) -> float:
-        """Equivalent additive-form Dice weight, (1 - alpha) / alpha."""
-        if self.alpha == 0.0:
-            raise ConfigError("lambda_dice is undefined at alpha = 0")
-        return (1.0 - self.alpha) / self.alpha
-
 
 def _split_target(probs: Tensor, target) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(target)

@@ -88,36 +88,6 @@ class SiameseUNet:
         self.params = params
         self.buffers = buffers
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def init(cls, config: ModelConfig, seed: int) -> "SiameseUNet":
-        """Deterministically initialize from (config, seed).
-
-        Conv and upconv weights draw from the He-uniform distribution
-        U(-sqrt(6/fan_in), sqrt(6/fan_in)) using a PCG64 generator; biases
-        start at zero, batch-norm gamma at one and beta at zero, running
-        stats at (0, 1).
-        """
-        config.validate()
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        params: dict[str, Tensor] = {}
-        buffers: dict[str, np.ndarray] = {}
-        for name, shape, fan_in in _param_specs(config):
-            if fan_in is not None:
-                bound = np.sqrt(6.0 / fan_in)
-                data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-            elif name.endswith("bn.gamma"):
-                data = np.ones(shape, dtype=np.float32)
-            else:
-                data = np.zeros(shape, dtype=np.float32)
-            params[name] = Tensor(data, requires_grad=True)
-            if name.endswith("bn.gamma"):
-                stem = name[: -len("gamma")]
-                buffers[stem + "running_mean"] = np.zeros(shape, dtype=np.float32)
-                buffers[stem + "running_var"] = np.ones(shape, dtype=np.float32)
-        return cls(config, params, buffers)
-
     def parameter_list(self) -> list[tuple[str, Tensor]]:
         """Trainable parameters in canonical order; shared encoder weights
         appear exactly once."""
@@ -190,9 +160,28 @@ class SiameseUNet:
 
 
 def init_model(config: ModelConfig, seed: int) -> SiameseUNet:
-    return SiameseUNet.init(config, seed)
+    """Deterministically initialize from (config, seed).
 
-
-def parameter_count(config: ModelConfig) -> int:
-    """Total trainable parameter count implied by the config."""
-    return sum(int(np.prod(shape)) for _, shape, _ in _param_specs(config))
+    Conv and upconv weights draw from the He-uniform distribution
+    U(-sqrt(6/fan_in), sqrt(6/fan_in)) using a PCG64 generator; biases
+    start at zero, batch-norm gamma at one and beta at zero, running
+    stats at (0, 1).
+    """
+    config.validate()
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    params: dict[str, Tensor] = {}
+    buffers: dict[str, np.ndarray] = {}
+    for name, shape, fan_in in _param_specs(config):
+        if fan_in is not None:
+            bound = np.sqrt(6.0 / fan_in)
+            data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        elif name.endswith("bn.gamma"):
+            data = np.ones(shape, dtype=np.float32)
+        else:
+            data = np.zeros(shape, dtype=np.float32)
+        params[name] = Tensor(data, requires_grad=True)
+        if name.endswith("bn.gamma"):
+            stem = name[: -len("gamma")]
+            buffers[stem + "running_mean"] = np.zeros(shape, dtype=np.float32)
+            buffers[stem + "running_var"] = np.ones(shape, dtype=np.float32)
+    return SiameseUNet(config, params, buffers)

@@ -88,9 +88,6 @@ class Tensor:
         if self._grad is not None:
             self._grad[...] = 0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={self.shape}, dtype={self.dtype}, "

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NODATA, BitemporalTile
+from .data import NODATA, BitemporalTile, ByteReader, write_atomic
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -153,15 +153,6 @@ def _rng_words(rng: np.random.Generator) -> tuple[int, int, int, int]:
     )
 
 
-def restore_rng(words: tuple[int, int, int, int]) -> np.random.Generator:
-    bitgen = np.random.PCG64()
-    state = bitgen.state
-    state["state"]["state"] = words[0] | (words[1] << 64)
-    state["state"]["inc"] = words[2] | (words[3] << 64)
-    bitgen.state = state
-    return np.random.Generator(bitgen)
-
-
 def checkpoint_from_model(
     model: SiameseUNet, step: int = 0, rng: np.random.Generator | None = None
 ) -> Checkpoint:
@@ -182,27 +173,32 @@ def model_from_checkpoint(ckpt: Checkpoint) -> SiameseUNet:
 
 
 def restore_model(model: SiameseUNet, ckpt: Checkpoint) -> None:
-    """Load checkpoint tensors into an existing model; a differing config
-    is an error, never a silent reshape."""
+    """Load checkpoint tensors into an existing model.  A differing config,
+    a missing or extra tensor, or a tensor of another shape is an error,
+    never a silent reshape or broadcast; on error the model is untouched."""
     if model.config != ckpt.config:
         raise ConfigError(
             f"checkpoint config {ckpt.config} does not match model config {model.config}"
         )
-    if set(ckpt.params) != set(model.params):
-        missing = set(model.params) - set(ckpt.params)
-        extra = set(ckpt.params) - set(model.params)
+    dest = {k: t.data for k, t in model.params.items()} | model.buffers
+    src = ckpt.params | ckpt.buffers
+    if set(src) != set(dest):
+        missing = sorted(set(dest) - set(src))
+        extra = sorted(set(src) - set(dest))
         raise CheckpointFormatError(
-            f"parameter name mismatch: missing {sorted(missing)}, extra {sorted(extra)}"
+            f"tensor name mismatch: missing {missing}, extra {extra}"
         )
-    for name, arr in ckpt.params.items():
-        model.params[name].data[...] = arr
-    for name, arr in ckpt.buffers.items():
-        if name not in model.buffers:
-            raise CheckpointFormatError(f"unknown buffer {name!r} in checkpoint")
-        model.buffers[name][...] = arr
+    for name, arr in src.items():
+        if arr.shape != dest[name].shape:
+            raise CheckpointFormatError(
+                f"tensor {name!r} has shape {arr.shape}, model expects {dest[name].shape}"
+            )
+    for name, arr in src.items():
+        dest[name][...] = arr
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Serialize as SUNC version 1; the write is whole-file atomic."""
     header = (
         f"in_channels={ckpt.config.in_channels}\n"
         f"base_width={ckpt.config.base_width}\n"
@@ -224,83 +220,51 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f4", copy=False).tobytes())
     chunks.append(struct.pack("<4Q", *ckpt.rng_words))
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    write_atomic(path, chunks)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        blob = f.read()
-
-    def need(off: int, count: int, what: str) -> None:
-        if off + count > len(blob):
-            raise CheckpointFormatError(
-                f"truncated checkpoint: {what} at byte {off} needs {count} bytes, "
-                f"file ends at {len(blob)}"
-            )
-
-    need(0, 6, "magic and version")
-    if blob[:4] != CKPT_MAGIC:
-        raise CheckpointFormatError(
-            f"bad magic {blob[:4]!r} at byte 0, expected {CKPT_MAGIC!r}"
-        )
-    (version,) = struct.unpack_from("<H", blob, 4)
+    """Parse a SUNC file; malformed input raises CheckpointFormatError."""
+    r = ByteReader(path, CheckpointFormatError)
+    r.magic(CKPT_MAGIC)
+    (version,) = r.unpack("H", "version")
     if version != CKPT_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported checkpoint version {version}, expected {CKPT_VERSION}"
-        )
-    off = 6
-    need(off, 4, "header length")
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    need(off, hlen, "header")
-    fields_: dict[str, int] = {}
-    for line in blob[off : off + hlen].decode().splitlines():
+        r.fail(f"unsupported checkpoint version {version}, expected {CKPT_VERSION}", 4)
+    (hlen,) = r.unpack("I", "header length")
+    at = r.off
+    header: dict[str, int] = {}
+    for line in r.text(hlen, "header").splitlines():
         key, _, value = line.partition("=")
-        fields_[key] = int(value)
-    off += hlen
+        try:
+            header[key] = int(value)
+        except ValueError:
+            r.fail(f"header line {line!r} is not key=integer", at)
     try:
         config = ModelConfig(
-            in_channels=fields_["in_channels"], base_width=fields_["base_width"]
+            in_channels=header["in_channels"], base_width=header["base_width"]
         )
-        step = fields_["step"]
+        config.validate()
+        step = header["step"]
     except KeyError as e:
-        raise CheckpointFormatError(f"header missing key {e}") from None
+        r.fail(f"header missing key {e}", at)
+    except ConfigError as e:
+        r.fail(f"invalid header: {e}", at)
 
-    need(off, 4, "record count")
-    (n_records,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (n_records,) = r.unpack("I", "record count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_records):
-        need(off, 4, "name length")
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        need(off, nlen, "name")
-        name = blob[off : off + nlen].decode()
-        off += nlen
-        need(off, 4, "rank")
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
+        (nlen,) = r.unpack("I", "name length")
+        at = r.off
+        name = r.text(nlen, "tensor name")
+        if name in tensors:
+            r.fail(f"duplicate tensor {name!r}", at)
+        (rank,) = r.unpack("I", "rank")
         if rank > 8:
-            raise CheckpointFormatError(f"implausible rank {rank} at byte {off - 4}")
-        need(off, 4 * rank, "dims")
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        need(off, 4 * count, f"data of {name!r}")
-        tensors[name] = (
-            np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-            .reshape(dims)
-            .copy()
-        )
-        off += 4 * count
-    need(off, 32, "rng state")
-    words = struct.unpack_from("<4Q", blob, off)
-    off += 32
-    if off != len(blob):
-        raise CheckpointFormatError(
-            f"trailing {len(blob) - off} bytes after byte {off}"
-        )
+            r.fail(f"implausible rank {rank}", r.off - 4)
+        dims = r.unpack(f"{rank}I", f"dims of {name!r}")
+        tensors[name] = r.array("<f4", dims, f"data of {name!r}")
+    words = r.unpack("4Q", "rng state")
+    r.end()
 
     params = {k: v for k, v in tensors.items() if "running_" not in k}
     buffers = {k: v for k, v in tensors.items() if "running_" in k}

@@ -4,10 +4,28 @@ import json
 import struct
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffnet.cli import main, read_mask, render_confusion, write_mask
-from diffnet.data import read_tile
-from diffnet.train import load_checkpoint, model_from_checkpoint, predict
+from diffnet.cli import main, render_confusion
+from diffnet.data import (
+    SceneParams,
+    generate_scene,
+    read_mask,
+    read_tile,
+    write_mask,
+    write_tile,
+)
+from diffnet.errors import CheckpointFormatError, TileFormatError
+from diffnet.model import ModelConfig, init_model
+from diffnet.train import (
+    checkpoint_from_model,
+    load_checkpoint,
+    model_from_checkpoint,
+    predict,
+    save_checkpoint,
+)
 
 GEN_SMALL = [
     "--channels", "2", "--height", "64", "--width", "64",
@@ -310,22 +328,194 @@ class TestUsage:
     def test_missing_required_flag_exits_2(self):
         assert main(["gen"]) == 2
 
-    def test_manifests_written_for_every_subcommand(self, tmp_path):
-        data = run_gen(tmp_path)
-        ckpt = run_train(tmp_path, data)
+    def test_manifests_written_for_every_subcommand(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DIFFNET_SEED", "5")
+        data = tmp_path / "tiles"
+        assert main(["gen", "--out-dir", str(data), "--count", "2"] + GEN_SMALL) == 0
+        ckpt = tmp_path / "model.sunc"
+        assert main(["train", "--data-dir", str(data), "--out", str(ckpt),
+                     "--base-width", "4", "--steps", "2", "--batch-size", "2",
+                     "--patch-size", "32"]) == 0
+        tile = str(data / "tile_00000.btt")
         pred = tmp_path / "p.btm"
-        main(["predict", "--checkpoint", str(ckpt), "--tile",
-              str(data / "tile_00000.btt"), "--out", str(pred)])
+        assert main(["predict", "--checkpoint", str(ckpt), "--tile", tile,
+                     "--out", str(pred)]) == 0
         csv_out = tmp_path / "m.csv"
-        main(["eval", "--pred", str(pred), "--truth",
-              str(data / "tile_00000.btt"), "--out", str(csv_out)])
+        assert main(["eval", "--pred", str(pred), "--truth", tile,
+                     "--out", str(csv_out)]) == 0
         ppm = tmp_path / "o.ppm"
-        main(["render", "--pred", str(pred), "--truth",
-              str(data / "tile_00000.btt"), "--out", str(ppm)])
-        for artifact in (data / "manifest.json",
-                         ckpt.parent / (ckpt.name + ".manifest.json"),
-                         pred.parent / (pred.name + ".manifest.json"),
-                         csv_out.parent / (csv_out.name + ".manifest.json"),
-                         ppm.parent / (ppm.name + ".manifest.json")):
+        assert main(["render", "--pred", str(pred), "--truth", tile,
+                     "--out", str(ppm)]) == 0
+        expected = {
+            data / "manifest.json": ("gen", {
+                "out-dir": str(data), "count": 2, "seed": 5, "channels": 2,
+                "height": 64, "width": 64, "burn-fraction": 0.15, "scar-blobs": 2,
+                "burn-offset-scale": 1.0, "seasonal-drift-scale": 0.3,
+                "confuser-blobs": 1, "noise-sigma": 0.05,
+            }),
+            tmp_path / "model.sunc.manifest.json": ("train", {
+                "data-dir": str(data), "out": str(ckpt), "log-csv": f"{ckpt}.log.csv",
+                "base-width": 4, "model-seed": 0, "lr": 0.001, "steps": 2,
+                "batch-size": 2, "patch-size": 32, "seed": 5, "alpha": 0.5,
+                "pos-weight": "auto", "dice-eps": 1.0, "log-every": 10,
+            }),
+            tmp_path / "p.btm.manifest.json": ("predict", {
+                "checkpoint": str(ckpt), "tile": tile, "threshold": 0.5,
+                "out": str(pred),
+            }),
+            tmp_path / "m.csv.manifest.json": ("eval", {
+                "pred": [str(pred)], "truth": [tile], "out": str(csv_out),
+            }),
+            tmp_path / "o.ppm.manifest.json": ("render", {
+                "pred": str(pred), "truth": tile, "out": str(ppm),
+            }),
+        }
+        for artifact, (subcommand, args) in expected.items():
             doc = json.loads(artifact.read_text())
+            assert doc["subcommand"] == subcommand
             assert doc["tool_version"]
+            assert doc["args"] == args
+
+
+def predict_rc(ckpt, tile, tmp_path):
+    return main(["predict", "--checkpoint", str(ckpt), "--tile", str(tile),
+                 "--out", str(tmp_path / "p.btm")])
+
+
+def replace_once(path, old, new):
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+
+
+class TestMalformedInputs:
+    """Each malformed file is its typed error and exit 3, never a traceback
+    and never a silent load."""
+
+    @pytest.fixture
+    def site(self, tmp_path):
+        data = run_gen(tmp_path, count=1)
+        return data / "tile_00000.btt", run_train(tmp_path, data)
+
+    def test_broadcastable_tensor_shape_rejected(self, site, tmp_path):
+        tile, path = site
+        ckpt = load_checkpoint(path)
+        ckpt.params["enc1.conv.bias"] = np.zeros(1, np.float32)
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointFormatError, match="enc1.conv.bias"):
+            model_from_checkpoint(load_checkpoint(path))
+        assert predict_rc(path, tile, tmp_path) == 3
+
+    def test_missing_running_buffer_rejected(self, site, tmp_path):
+        tile, path = site
+        ckpt = load_checkpoint(path)
+        del ckpt.buffers["enc1.bn.running_mean"]
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointFormatError, match="enc1.bn.running_mean"):
+            model_from_checkpoint(load_checkpoint(path))
+        assert predict_rc(path, tile, tmp_path) == 3
+
+    def test_non_integer_header_value(self, site, tmp_path, capsys):
+        tile, path = site
+        replace_once(path, b"step=3\n", b"step=x\n")
+        assert predict_rc(path, tile, tmp_path) == 3
+        assert "'step=x' is not key=integer at byte 10" in capsys.readouterr().err
+
+    def test_non_utf8_tensor_name(self, site, tmp_path, capsys):
+        tile, path = site
+        replace_once(path, b"enc1.conv.weight", b"\xffnc1.conv.weight")
+        assert predict_rc(path, tile, tmp_path) == 3
+        assert "tensor name is not valid UTF-8" in capsys.readouterr().err
+
+    def test_dims_product_beyond_int64(self, site, tmp_path, capsys):
+        tile, path = site
+        blob = path.read_bytes()
+        at = blob.index(b"enc1.conv.weight") + len(b"enc1.conv.weight")
+        assert struct.unpack_from("<5I", blob, at) == (4, 4, 2, 3, 3)
+        dims = struct.pack("<4I", 2**21, 2**21, 2**21, 2)  # product 2**64
+        path.write_bytes(blob[: at + 4] + dims + blob[at + 20 :])
+        assert predict_rc(path, tile, tmp_path) == 3
+        assert "truncated data of 'enc1.conv.weight'" in capsys.readouterr().err
+
+    def test_mask_byte_outside_domain(self, tmp_path, capsys):
+        tile = run_gen(tmp_path, count=1) / "tile_00000.btt"
+        pred = tmp_path / "p.btm"
+        write_mask(read_tile(tile).mask, pred)
+        blob = bytearray(pred.read_bytes())
+        blob[-1] = 7
+        pred.write_bytes(bytes(blob))
+        rc = main(["eval", "--pred", str(pred), "--truth", str(tile),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 3
+        assert f"invalid mask value 7 at byte {len(blob) - 1}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A 32x32 two-channel tile, its mask and a checkpoint that fits it,
+    with the byte offsets where each format's damage is most telling."""
+    d = tmp_path_factory.mktemp("valid")
+    tile = generate_scene(SceneParams(channels=2, size=(32, 32)), seed=0)
+    write_tile(tile, d / "valid.btt")
+    write_mask(tile.mask, d / "valid.btm")
+    ckpt = checkpoint_from_model(init_model(ModelConfig(in_channels=2, base_width=4), 0))
+    save_checkpoint(ckpt, d / "valid.sunc")
+    blobs = {fmt: (d / f"valid.{fmt}").read_bytes() for fmt in ("btt", "btm", "sunc")}
+    btt, sunc = len(blobs["btt"]), blobs["sunc"]
+    records = [
+        i
+        for name, arr in {**ckpt.params, **ckpt.buffers}.items()
+        for start in [sunc.index(name.encode()) - 4]
+        for i in range(start, start + 8 + len(name) + 4 * arr.ndim)
+    ]
+    hot = {  # header fields, mask bytes, record fields, RNG words
+        "btt": [range(16), range(btt - 16, btt)],
+        "btm": [range(12), range(12, 28)],
+        "sunc": [range(sunc.index(b"step=") + 8), records, range(len(sunc) - 32, len(sunc))],
+    }
+    return d, blobs, hot
+
+
+@settings(max_examples=200, deadline=None)
+@given(fmt=st.sampled_from(["btt", "btm", "sunc"]), data=st.data())
+def test_damaged_files_give_typed_errors_and_exit_codes(valid_files, fmt, data):
+    """Mutating, truncating or extending a valid BTT1, BTM1 or SUNC file:
+    only the format's error escapes its reader, and ``main`` only ever
+    returns an exit code."""
+    d, blobs, hot = valid_files
+    blob = blobs[fmt]
+    kind = data.draw(st.sampled_from(["mutate", "truncate", "extend"]))
+    if kind == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "extend":
+        blob = blob + data.draw(st.binary(min_size=1, max_size=8))
+    else:
+        out = bytearray(blob)
+        where = st.one_of(
+            *(st.sampled_from(h) for h in hot[fmt]), st.integers(0, len(blob) - 1)
+        )
+        for i in data.draw(st.lists(where, min_size=1, max_size=4)):
+            out[i] = data.draw(st.integers(0, 255))
+        blob = bytes(out)
+    path = d / f"damaged.{fmt}"
+    path.write_bytes(blob)
+
+    reader = {"btt": read_tile, "btm": read_mask, "sunc": load_checkpoint}[fmt]
+    try:
+        got = reader(path)
+    except (TileFormatError, CheckpointFormatError):
+        got = None
+    if got is not None and fmt != "sunc":  # an accepted mask holds only 0, 1, 255
+        mask = got.mask if fmt == "btt" else got
+        assert set(np.unique(mask)) <= {0, 1, 255}
+
+    valid = {f: str(d / f"valid.{f}") for f in blobs}
+    valid[fmt] = str(path)
+    outs = [str(d / name) for name in ("out.btm", "out.csv", "out.ppm")]
+    for argv in (
+        ["predict", "--checkpoint", valid["sunc"], "--tile", valid["btt"], "--out", outs[0]],
+        ["eval", "--pred", valid["btm"], "--truth", valid["btt"], "--out", outs[1]],
+        ["render", "--pred", valid["btm"], "--truth", valid["btt"], "--out", outs[2]],
+    ):
+        if str(path) in argv:
+            assert main(argv) in (0, 2, 3, 4)

@@ -1,5 +1,4 @@
-"""Tile file format round trips, scene generator soundness, sampling and
-normalization."""
+"""Tile and mask file format round trips and scene generator soundness."""
 
 import numpy as np
 import pytest
@@ -9,14 +8,11 @@ from hypothesis import strategies as st
 from diffnet.data import (
     BitemporalTile,
     SceneParams,
-    channel_stats,
     generate_scene,
     read_tile,
-    sample_patches,
-    standardize,
     write_tile,
 )
-from diffnet.errors import ConfigError, ContractError, TileFormatError
+from diffnet.errors import TileFormatError
 
 
 def make_tile(seed, c=2, h=4, w=4):
@@ -151,83 +147,3 @@ class TestGenerateScene:
             for s in range(100)
         ]
         assert 0.075 <= float(np.mean(fracs)) <= 0.225
-
-
-class TestSamplePatches:
-    def test_full_tile_patch_degenerates_to_copy(self, small_scene):
-        patches = sample_patches(small_scene, patch=64, n=3, seed=0)
-        assert len(patches) == 3
-        for p in patches:
-            assert np.array_equal(p.pre, small_scene.pre)
-
-    def test_offsets_in_bounds(self):
-        params = SceneParams(channels=2, size=(128, 96))
-        tile = generate_scene(params, seed=1)
-        patches = sample_patches(tile, patch=32, n=20, seed=2)
-        assert all(p.pre.shape == (2, 32, 32) for p in patches)
-
-    def test_balanced_half_meets_floor(self):
-        params = SceneParams(channels=2, size=(128, 128), burn_fraction_target=0.15)
-        tile = generate_scene(params, seed=4)
-        patches = sample_patches(tile, patch=32, n=10, balance_min_burn=0.05, seed=3)
-        burned = sum(1 for p in patches if (p.mask == 1).mean() >= 0.05)
-        assert burned >= 5
-
-    def test_patch_larger_than_tile_rejected(self, small_scene):
-        with pytest.raises(ContractError):
-            sample_patches(small_scene, patch=96, n=1, seed=0)
-
-    def test_patch_alignment_enforced(self, small_scene):
-        with pytest.raises(ConfigError):
-            sample_patches(small_scene, patch=48, n=1, seed=0)
-
-    def test_deterministic(self):
-        params = SceneParams(channels=2, size=(128, 128))
-        tile = generate_scene(params, seed=5)
-        a = sample_patches(tile, patch=32, n=5, seed=11)
-        b = sample_patches(tile, patch=32, n=5, seed=11)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.pre, pb.pre)
-
-
-class TestStandardize:
-    def test_stats_of_standardized_tiles_are_unit(self):
-        params = SceneParams(channels=3, size=(64, 64))
-        tiles = [generate_scene(params, seed=s) for s in range(4)]
-        stats = channel_stats(tiles)
-        out = [standardize(t, stats) for t in tiles]
-        mean, std = channel_stats(out)
-        assert np.abs(mean).max() < 0.05
-        assert np.abs(std - 1.0).max() < 0.05
-
-    def test_second_pass_is_identity(self):
-        params = SceneParams(channels=2, size=(64, 64))
-        tiles = [generate_scene(params, seed=s) for s in range(3)]
-        once = [standardize(t, channel_stats(tiles)) for t in tiles]
-        twice = [standardize(t, channel_stats(once)) for t in once]
-        for a, b in zip(once, twice):
-            np.testing.assert_allclose(a.pre, b.pre, atol=1e-5)
-            np.testing.assert_allclose(a.post, b.post, atol=1e-5)
-
-    def test_constant_channel_floored(self):
-        tile = BitemporalTile(
-            pre=np.full((1, 8, 8), 2.0, np.float32),
-            post=np.full((1, 8, 8), 2.0, np.float32),
-            mask=np.zeros((8, 8), np.uint8),
-        )
-        stats = channel_stats([tile])
-        out = standardize(tile, stats)
-        assert np.all(np.isfinite(out.pre))
-
-    def test_differences_preserved_up_to_scale(self):
-        params = SceneParams(channels=3, size=(64, 64))
-        tile = generate_scene(params, seed=8)
-        mean, std = channel_stats([tile])
-        out = standardize(tile, (mean, std))
-        got = out.post - out.pre
-        want = (tile.post - tile.pre) / std[:, None, None]
-        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
-
-    def test_mask_carried_through(self, small_scene):
-        stats = channel_stats([small_scene])
-        assert np.array_equal(standardize(small_scene, stats).mask, small_scene.mask)

@@ -138,17 +138,12 @@ class TestHybridLoss:
         with pytest.raises(ConfigError):
             LossConfig(dice_eps=0.0).validate()
 
-    def test_lambda_dice_equivalence(self):
-        cfg = LossConfig(alpha=0.25)
-        assert cfg.lambda_dice == pytest.approx(3.0)
-        with pytest.raises(ConfigError):
-            LossConfig(alpha=0.0).lambda_dice
-
 
 @settings(max_examples=30, deadline=None)
 @given(alpha=st.floats(0.05, 1.0), seed=st.integers(0, 1000))
 def test_convex_form_proportional_to_additive_form(alpha, seed):
-    """L_total(alpha) == alpha * (L_BCE + lambda_dice * L_Dice)."""
+    """L_total(alpha) == alpha * (L_BCE + lambda_dice * L_Dice), where
+    lambda_dice = (1 - alpha) / alpha."""
     g = np.random.default_rng(seed)
     probs = g.uniform(0.1, 0.9, size=(1, 1, 4, 4))
     target = (g.uniform(size=(1, 1, 4, 4)) < 0.4).astype(np.uint8)
@@ -156,7 +151,7 @@ def test_convex_form_proportional_to_additive_form(alpha, seed):
     convex = hybrid_loss(Tensor(probs), target, cfg).item()
     bce = weighted_bce(Tensor(probs), target, 2.0).item()
     dce = dice_loss(Tensor(probs), target, 1.0).item()
-    additive = bce + cfg.lambda_dice * dce
+    additive = bce + (1 - alpha) / alpha * dce
     assert convex == pytest.approx(alpha * additive, rel=1e-6)
 
 

@@ -222,6 +222,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    def test_invalid_header_config_is_format_error(self, tmp_path):
+        model = init_model(TINY, seed=0)
+        path = tmp_path / "model.sunc"
+        save_checkpoint(checkpoint_from_model(model), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"base_width=4\n", b"base_width=0\n"))
+        with pytest.raises(CheckpointFormatError, match="base_width must be >= 4"):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor_name_is_format_error(self, tmp_path):
+        model = init_model(TINY, seed=0)
+        path = tmp_path / "model.sunc"
+        save_checkpoint(checkpoint_from_model(model), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"enc2.conv.bias", b"enc1.conv.bias"))
+        with pytest.raises(CheckpointFormatError, match="duplicate tensor 'enc1.conv.bias'"):
+            load_checkpoint(path)
+
     def test_config_mismatch_is_error_not_reshape(self, tmp_path):
         model = init_model(TINY, seed=0)
         path = tmp_path / "model.sunc"
