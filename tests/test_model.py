@@ -44,6 +44,12 @@ class TestInit:
             a.params["enc1.conv.weight"].data, b.params["enc1.conv.weight"].data
         )
 
+    def test_parameter_count_matches_closed_form(self):
+        for cfg in (ModelConfig(), ModelConfig(in_channels=8, base_width=8), ModelConfig(in_channels=3, base_width=4)):
+            model = init_model(cfg, seed=0)
+            enumerated = sum(t.data.size for _, t in model.parameter_list())
+            assert enumerated == closed_form_count(cfg)
+
     def test_gamma_one_beta_zero_bias_zero(self, small_model):
         for name, t in small_model.parameter_list():
             if name.endswith("bn.gamma"):
@@ -145,10 +151,8 @@ class TestParameterList:
         assert a == b
 
     def test_total_elements_match_count(self, small_model):
-        extra = (ModelConfig(), ModelConfig(in_channels=8, base_width=8))
-        for model in [small_model] + [init_model(cfg, seed=0) for cfg in extra]:
-            total = sum(t.data.size for _, t in model.parameter_list())
-            assert total == closed_form_count(model.config)
+        total = sum(t.data.size for _, t in small_model.parameter_list())
+        assert total == closed_form_count(small_model.config)
 
 
 class TestWeightSharing:
