@@ -188,9 +188,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _require_finite(arrays: dict, path, error: type[ValueError]) -> None:
+    """Refuse NaN/Inf inputs: they would flow through the model into an
+    all-zero mask instead of an error."""
+    for name, arr in arrays.items():
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise error(f"{path}: {name} holds {bad} non-finite value(s)")
+
+
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
+    _require_finite(ckpt.params | ckpt.buffers, args.checkpoint, CheckpointFormatError)
     tile = read_tile(args.tile)
+    _require_finite({"pre": tile.pre, "post": tile.post}, args.tile, TileFormatError)
     if tile.channels != ckpt.config.in_channels:
         raise ConfigError(
             f"channel mismatch: tile has {tile.channels} channels, "

@@ -4,7 +4,12 @@ The engine is deliberately small: a ``Tensor`` wraps a numpy array and
 records, for every differentiable operation, a closure that scatters the
 upstream gradient back to its parents.  ``Tensor.backward`` walks the
 recorded graph once, in reverse topological order, summing contributions
-into each participating tensor's ``grad`` buffer.
+into each participating tensor's ``grad`` buffer, and consumes it: each
+closure is dropped after it runs, so a graph can be walked back only once.
+
+``conv2d`` is a shifted-tap GEMM over one zero-padded flat copy of the
+input (each kernel tap is a matmul against a contiguous slice of it), and
+``maxpool2x2`` works on the four strided views of its 2x2 windows.
 
 Working precision is float32; every kernel is dtype-generic, so the same
 ops run in float64 for numeric gradient checking.  Image tensors use the
@@ -14,7 +19,6 @@ N x C x H x W layout, row-major.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -127,7 +131,11 @@ class Tensor:
     def backward(self) -> None:
         """Propagate d(self)/d(tensor) to every reachable tensor.
 
-        ``self`` must hold exactly one element (a scalar loss).
+        ``self`` must hold exactly one element (a scalar loss).  The pass
+        consumes the graph: each op's backward closure is dropped once it
+        has run, which frees the intermediate arrays and breaks the
+        tensor <-> closure reference cycle.  Calling ``backward`` again on
+        a consumed graph raises ``ContractError``.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -137,10 +145,13 @@ class Tensor:
             raise ContractError("loss is not connected to any differentiable tensor")
 
         order = _topo_order(self)
+        if any(node._parents and node._backward is None for node in order):
+            raise ContractError("graph already consumed by an earlier backward()")
         _accum(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+                node._backward = None
 
 
 def _topo_order(root: Tensor) -> list:
@@ -341,18 +352,15 @@ def _require_4d(x: Tensor, op: str) -> None:
         raise ShapeError(f"{op} expects an N x C x H x W tensor, got shape {x.shape}")
 
 
-def _corr2d(x: np.ndarray, k: np.ndarray, pad: int):
-    """Cross-correlate (N,C,H,W) with kernels (O,C,KH,KW) at stride 1.
-
-    Returns the output plus the padded input, which the backward pass
-    windows again for the weight gradient.
-    """
-    kh, kw = k.shape[2], k.shape[3]
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    out = np.einsum("nchwkl,ockl->nohw", win, k, optimize=True)
-    return out, x
+def _pad_flat(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero-pad (N,C,H,W) by (k-1)/2 and flatten each padded plane, plus
+    k-1 spare zeros so that the last tap's slice stays in bounds."""
+    n, c, h, w = x.shape
+    p = (k - 1) // 2
+    hp, wp = h + 2 * p, w + 2 * p
+    flat = np.zeros((n, c, hp * wp + k - 1), dtype=x.dtype)
+    flat[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, p : p + h, p : p + w] = x
+    return flat
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
@@ -361,6 +369,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     ``weight`` is (C_out, C_in, KH, KW) with a square odd kernel; the 3x3
     kernel with padding 1 preserves spatial size, the 1x1 prediction-head
     kernel uses padding 0.
+
+    Shifted-tap GEMM: the input is padded once into flat planes of width
+    Wp = W + 2p.  Tap (i, j) of every output row is then the contiguous
+    slice at offset i*Wp + j, so each tap is one matmul of W[:, :, i, j]
+    against a view, with no im2col copy.  Rows are computed Wp wide and
+    the Wp - W junk columns are cropped.
     """
     _require_4d(x, "conv2d")
     if weight.data.ndim != 4:
@@ -383,22 +397,38 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
         raise ShapeError(
             f"conv2d bias shape {bias.shape} does not match {cout} output channels"
         )
-    out_data, x_padded = _corr2d(x.data, weight.data, padding)
-    out_data += bias.data[None, :, None, None]
+    wp = w + 2 * padding
+    span = h * wp
+    offsets = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    flat = _pad_flat(x.data, kh)
+    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (k, k, O, C)
+    acc = np.matmul(taps[0, 0], flat[:, :, :span])
+    tmp = np.empty_like(acc)
+    for i, j, off in offsets[1:]:
+        acc += np.matmul(taps[i, j], flat[:, :, off : off + span], out=tmp)
+    out_data = acc.reshape(n, cout, h, wp)[..., :w] + bias.data[None, :, None, None]
 
     def bw(out):
         def run():
             g = out.grad
             _accum(bias, g.sum(axis=(0, 2, 3)))
-            win = sliding_window_view(x_padded, (kh, kw), axis=(2, 3))
-            _accum(weight, np.einsum("nohw,nchwkl->ockl", g, win, optimize=True))
+            gp = np.zeros((n, cout, h, wp), dtype=g.dtype)
+            gp[..., :w] = g
+            gp = gp.reshape(n, cout, span)
+            if weight.requires_grad:
+                gw = np.empty_like(weight.data)
+                for i, j, off in offsets:
+                    tap = flat[:, :, off : off + span].transpose(0, 2, 1)
+                    gw[:, :, i, j] = np.matmul(gp, tap).sum(axis=0)
+                _accum(weight, gw)
             if x.requires_grad:
-                # full correlation with the flipped, channel-swapped kernel
-                kt = np.ascontiguousarray(
-                    weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                )
-                dx, _ = _corr2d(g, kt, kh - 1 - padding)
-                _accum(x, dx)
+                dflat = np.zeros_like(flat)
+                dtmp = np.empty((n, cin, span), dtype=g.dtype)
+                for i, j, off in offsets:
+                    dflat[:, :, off : off + span] += np.matmul(taps[i, j].T, gp, out=dtmp)
+                hp = h + 2 * padding
+                dx = dflat[:, :, : hp * wp].reshape(n, cin, hp, wp)
+                _accum(x, dx[:, :, padding : padding + h, padding : padding + w])
 
         return run
 
@@ -473,30 +503,35 @@ def batchnorm2d(
 
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2; gradient routes to the first argmax in
-    scan order within each window."""
+    scan order within each window.
+
+    The four window positions are strided views ``x[:, :, a::2, b::2]``;
+    the forward is their elementwise maximum.  A NaN in a window makes the
+    output NaN, and the gradient then goes to the window's first NaN.
+    """
     _require_4d(x, "maxpool2x2")
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 requires even H and W, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    windows = (
-        x.data.reshape(n, c, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h2, w2, 4)
+    d = x.data
+    out_data = np.maximum(
+        np.maximum(d[:, :, 0::2, 0::2], d[:, :, 0::2, 1::2]),
+        np.maximum(d[:, :, 1::2, 0::2], d[:, :, 1::2, 1::2]),
     )
-    idx = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
 
     def bw(out):
         def run():
-            g = np.zeros((n, c, h2, w2, 4), dtype=x.dtype)
-            np.put_along_axis(g, idx[..., None], out.grad[..., None], axis=-1)
-            _accum(
-                x,
-                g.reshape(n, c, h2, w2, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w),
-            )
+            g = out.grad
+            gx = np.empty_like(d)
+            taken = np.zeros(out_data.shape, dtype=bool)
+            for a, b in ((0, 0), (0, 1), (1, 0)):  # scan order; (1, 1) gets the rest
+                xq = d[:, :, a::2, b::2]
+                hit = (xq == out_data) | np.isnan(xq)
+                hit &= ~taken
+                taken |= hit
+                gx[:, :, a::2, b::2] = np.where(hit, g, 0)
+            gx[:, :, 1::2, 1::2] = np.where(taken, 0, g)
+            _accum(x, gx)
 
         return run
 
@@ -523,9 +558,13 @@ def upconv2x2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"upconv2x2 bias shape {bias.shape} does not match {cout} output channels"
         )
-    blocks = np.einsum("ncij,cokl->noijkl", x.data, weight.data, optimize=True)
+    # one matmul over (C_out*2*2, C_in) x (C_in, H*W), then interleave the
+    # 2x2 blocks into the doubled grid
+    w4 = weight.data.reshape(cin, cout * 4)
+    x3 = x.data.reshape(n, cin, h * w)
+    blocks = np.matmul(w4.T, x3).reshape(n, cout, 2, 2, h, w)
     out_data = (
-        blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, cout, 2 * h, 2 * w)
+        blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, 2 * h, 2 * w)
         + bias.data[None, :, None, None]
     )
 
@@ -533,10 +572,15 @@ def upconv2x2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         def run():
             g = out.grad
             _accum(bias, g.sum(axis=(0, 2, 3)))
-            gb = g.reshape(n, cout, h, 2, w, 2).transpose(0, 1, 2, 4, 3, 5)
-            _accum(weight, np.einsum("ncij,noijkl->cokl", x.data, gb, optimize=True))
+            g4 = (
+                g.reshape(n, cout, h, 2, w, 2)
+                .transpose(0, 1, 3, 5, 2, 4)
+                .reshape(n, cout * 4, h * w)
+            )
+            gw = np.matmul(x3, g4.transpose(0, 2, 1)).sum(axis=0)
+            _accum(weight, gw.reshape(cin, cout, 2, 2))
             if x.requires_grad:
-                _accum(x, np.einsum("noijkl,cokl->ncij", gb, weight.data, optimize=True))
+                _accum(x, np.matmul(w4, g4).reshape(n, cin, h, w))
 
         return run
 

@@ -187,6 +187,7 @@ def test_criterion_3_weight_sharing():
     report("criterion 3 (weight sharing)", f"worst relative gap {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_4_overfit_smoke():
     """Desk-scale overfit: 8 synthetic tiles (C=8, 64x64, burn fraction 0.15,
     seeds 42..49), base_width 8, Adam lr 1e-3, 300 steps, batch 4; the
@@ -298,6 +299,7 @@ def test_criterion_7_determinism_and_round_trips(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_generalization_across_regimes():
     """Train on 16 scenes from one generator regime (seeds 0..15), evaluate
     on 8 scenes from a regime with different seasonal drift and blob

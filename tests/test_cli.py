@@ -437,6 +437,29 @@ class TestMalformedInputs:
         assert predict_rc(path, tile, tmp_path) == 3
         assert "truncated data of 'enc1.conv.weight'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "image, where, value",
+        [("pre", np.s_[0, :8, :8], np.inf), ("post", np.s_[1], np.nan)],
+        ids=["inf-corner-in-pre", "nan-in-post"],
+    )
+    def test_non_finite_tile_rejected(self, site, tmp_path, capsys, image, where, value):
+        tile_path, ckpt = site
+        tile = read_tile(tile_path)
+        getattr(tile, image)[where] = value
+        write_tile(tile, tile_path)
+        assert predict_rc(ckpt, tile_path, tmp_path) == 3
+        assert f"{image} holds" in capsys.readouterr().err
+        assert not (tmp_path / "p.btm").exists()
+
+    def test_non_finite_weight_rejected(self, site, tmp_path, capsys):
+        tile, path = site
+        ckpt = load_checkpoint(path)
+        ckpt.params["enc2.conv.weight"][0, 0, 1, 1] = np.nan
+        save_checkpoint(ckpt, path)
+        assert predict_rc(path, tile, tmp_path) == 3
+        assert "enc2.conv.weight holds 1 non-finite value(s)" in capsys.readouterr().err
+        assert not (tmp_path / "p.btm").exists()
+
     def test_mask_byte_outside_domain(self, tmp_path, capsys):
         tile = run_gen(tmp_path, count=1) / "tile_00000.btt"
         pred = tmp_path / "p.btm"

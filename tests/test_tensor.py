@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffnet.errors import ContractError, ShapeError
+from diffnet.losses import LossConfig, hybrid_loss
 from diffnet.tensor import (
     Tensor,
     batchnorm2d,
@@ -131,6 +132,30 @@ class TestElementwise:
         assert 0.0 < out[1] <= 1.0 and 0.0 <= out[0] < 1.0
 
 
+def argmax_route(x, g):
+    """Reference 2x2 pooling: window argmax (first maximum in scan order,
+    first NaN if any) and its gradient scattered with put_along_axis."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)[..., None]
+    gw = np.zeros_like(win)
+    np.put_along_axis(gw, idx, g[..., None], axis=-1)
+    gx = gw.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return np.take_along_axis(win, idx, axis=-1)[..., 0], gx.reshape(n, c, h, w)
+
+
+def window(values):
+    return np.array(values, np.float32).reshape(1, 1, 2, 2)
+
+
+def pool_and_grad(x, g):
+    t = Tensor(x, requires_grad=True)
+    out = maxpool2x2(t)
+    tsum(mul(out, g)).backward()
+    return out.data, t.grad
+
+
 class TestMaxPool:
     def test_window_max(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32))
@@ -157,6 +182,43 @@ class TestMaxPool:
         expected = np.zeros((1, 1, 2, 2), np.float32)
         expected[0, 0, 0, 0] = 1.0
         assert np.array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("hits", range(1, 16))
+    def test_ties_route_to_first_maximum(self, hits):
+        x = window([5.0 if hits >> q & 1 else -1.0 for q in range(4)])
+        g = np.full((1, 1, 1, 1), 3.0, np.float32)
+        out, grad = pool_and_grad(x, g)
+        first = (hits & -hits).bit_length() - 1
+        expected = np.zeros(4, np.float32)
+        expected[first] = 3.0
+        assert np.array_equal(grad.reshape(4), expected)
+        ref_out, ref_grad = argmax_route(x, g)
+        assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("nans", range(1, 16))
+    def test_nan_window_routes_to_first_nan(self, nans):
+        x = window([np.nan if nans >> q & 1 else 9.0 - q for q in range(4)])
+        g = np.full((1, 1, 1, 1), 3.0, np.float32)
+        out, grad = pool_and_grad(x, g)
+        assert np.isnan(out).all()
+        first = (nans & -nans).bit_length() - 1
+        assert np.flatnonzero(grad.reshape(4)).tolist() == [first]
+        assert np.array_equal(grad, argmax_route(x, g)[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 4), w=st.integers(1, 4),
+        nan_rate=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 10_000),
+    )
+    def test_matches_argmax_reference(self, n, c, h, w, nan_rate, seed):
+        g = np.random.default_rng(seed)
+        x = g.integers(-2, 3, (n, c, 2 * h, 2 * w)).astype(np.float32)  # many ties
+        x[g.random(x.shape) < nan_rate] = np.nan
+        up = g.standard_normal((n, c, h, w)).astype(np.float32)
+        out, grad = pool_and_grad(x, up)
+        ref_out, ref_grad = argmax_route(x, up)
+        np.testing.assert_array_equal(out, ref_out)
+        assert np.array_equal(grad, ref_grad)
 
 
 class TestUpconv:
@@ -243,6 +305,32 @@ class TestBackward:
         tsum(log(clamp(x, 1e-7, 1 - 1e-7))).backward()
         np.testing.assert_allclose(x.grad, [2.0], rtol=1e-12)
 
+    def test_backward_consumes_the_graph(self, small_model, small_scene):
+        pre = Tensor(small_scene.pre[None, :, :32, :32])
+        post = Tensor(small_scene.post[None, :, :32, :32])
+        probs = small_model.forward(pre, post, mode="train")
+        loss = hybrid_loss(probs, small_scene.mask[None, None, :32, :32], LossConfig())
+        loss.backward()
+        nodes, todo, seen = 0, [loss], set()
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes += 1
+                assert node._backward is None
+                todo.extend(node._parents)
+        assert nodes > 100
+        with pytest.raises(ContractError, match="consumed"):
+            loss.backward()
+
+    def test_loss_over_a_consumed_subgraph_rejected(self, rng):
+        x = Tensor(randn(rng, 2, 2), requires_grad=True)
+        first = tsum(mul(x, 2.0))
+        first.backward()
+        with pytest.raises(ContractError, match="consumed"):
+            mul(first, 3.0).backward()
+        assert np.array_equal(x.grad, np.full((2, 2), 2.0, np.float32))
+
 
 class TestDeterminism:
     def test_conv_bitwise_repeatable(self, rng):
@@ -302,3 +390,52 @@ def test_conv2d_linear_in_input_for_fixed_weights(seed):
     lhs = conv2d(Tensor(a + b), w, bias).data
     rhs = conv2d(Tensor(a), w, bias).data + conv2d(Tensor(b), w, bias).data
     np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-9)
+
+
+def naive_conv2d(x, w, b, g):
+    """Float64 per-tap reference: forward, then the weight, bias and input
+    gradients for the cotangent ``g``, written as loops over kernel taps,
+    output and input channels."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.zeros((n, cout, h, wd)) + b[None, :, None, None]
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, :, i : i + h, j : j + wd]
+            for o in range(cout):
+                for c in range(cin):
+                    out[:, o] += w[o, c, i, j] * patch[:, c]
+                    gw[o, c, i, j] = (g[:, o] * patch[:, c]).sum()
+                    gxp[:, c, i : i + h, j : j + wd] += w[o, c, i, j] * g[:, o]
+    return out, gw, g.sum(axis=(0, 2, 3)), gxp[:, :, p : p + h, p : p + wd]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    cin=st.integers(1, 4),
+    cout=st.integers(1, 4),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    k=st.sampled_from([1, 3]),
+    seed=st.integers(0, 10_000),
+)
+@example(n=2, cin=3, cout=5, h=4, w=7, k=3, seed=0)
+@example(n=3, cin=4, cout=2, h=6, w=3, k=1, seed=1)
+def test_conv2d_matches_naive_reference(n, cin, cout, h, w, k, seed):
+    g = np.random.default_rng(seed)
+    x = g.standard_normal((n, cin, h, w))
+    wt = g.standard_normal((cout, cin, k, k))
+    b = g.standard_normal(cout)
+    up = g.standard_normal((n, cout, h, w))
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+    out = conv2d(tx, tw, tb, padding=(k - 1) // 2)
+    tsum(mul(out, up)).backward()
+    ref_out, ref_gw, ref_gb, ref_gx = naive_conv2d(x, wt, b, up)
+    for got, ref in ((out.data, ref_out), (tw.grad, ref_gw), (tb.grad, ref_gb), (tx.grad, ref_gx)):
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
