@@ -1,0 +1,40 @@
+"""Print SHA-256 digests of outputs that a kernel change must keep bitwise.
+
+A seeded 12-step ``train`` at the acceptance config gives its TrainLog and
+every checkpoint tensor; the trained model's eval-mode probabilities on a
+seeded 512x512 and a 96x160 scene follow.  Run it on two commits and diff:
+
+    PYTHONPATH=src python scripts/parity.py > after.txt
+"""
+
+import hashlib
+
+import numpy as np
+
+from diffnet.data import SceneParams, generate_scene
+from diffnet.model import ModelConfig, init_model
+from diffnet.tensor import Tensor, no_grad
+from diffnet.train import TrainConfig, train
+
+
+def digest(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def main():
+    tiles = [generate_scene(SceneParams(channels=8, size=(64, 64)), seed=s) for s in range(4)]
+    model = init_model(ModelConfig(in_channels=8, base_width=8), seed=3)
+    ckpt, log = train(model, tiles, TrainConfig(steps=12, batch_size=4, seed=0, log_every=1))
+    rows = [(r.step, r.loss, r.bce, r.dice, r.burn_frac) for r in log.records]
+    print(f"train.log {digest(np.array(rows, dtype=np.float64))}")
+    for name, arr in {**ckpt.params, **ckpt.buffers}.items():
+        print(f"train.{name} {digest(arr)}")
+    for h, w in ((512, 512), (96, 160)):
+        tile = generate_scene(SceneParams(channels=8, size=(h, w)), seed=11)
+        with no_grad():
+            probs = model.forward(Tensor(tile.pre[None]), Tensor(tile.post[None]))
+        print(f"predict.{h}x{w} {digest(probs.data)}")
+
+
+if __name__ == "__main__":
+    main()

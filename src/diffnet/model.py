@@ -146,7 +146,10 @@ class SiameseUNet:
         return [sub(fq, fp) for fp, fq in zip(f_pre, f_post)]
 
     def forward(self, pre: Tensor, post: Tensor, mode: str = "eval") -> Tensor:
-        """Full change-probability map for a bitemporal pair, in (0, 1)."""
+        """Full change-probability map for a bitemporal pair, in [0, 1].
+
+        The float32 sigmoid saturates to exactly 0.0 or 1.0 for confident
+        logits; ``losses.weighted_bce`` clamps before taking logs."""
         deltas = self.difference_pyramid(pre, post, mode)
         p = self.params
         x = deltas[LEVELS - 1]

@@ -8,8 +8,12 @@ into each participating tensor's ``grad`` buffer, and consumes it: each
 closure is dropped after it runs, so a graph can be walked back only once.
 
 ``conv2d`` is a shifted-tap GEMM over one zero-padded flat copy of the
-input (each kernel tap is a matmul against a contiguous slice of it), and
-``maxpool2x2`` works on the four strided views of its 2x2 windows.
+input (each kernel tap is a matmul against a contiguous slice of it); its
+forward runs over column blocks of ``_BLOCK`` output positions so that
+each block's working set stays in cache.  ``batchnorm2d`` builds its
+output in place and keeps no normalized copy (its backward recomputes
+x-hat from the saved input), and ``maxpool2x2`` works on the four strided
+views of its 2x2 windows.
 
 Working precision is float32; every kernel is dtype-generic, so the same
 ops run in float64 for numeric gradient checking.  Image tensors use the
@@ -23,6 +27,10 @@ import numpy as np
 from .errors import ConfigError, ContractError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# conv2d forward computes this many flat output positions per column block,
+# so that a block's accumulator and tap product stay in L2 across all taps
+_BLOCK = 4096
 
 _grad_enabled = True
 
@@ -327,13 +335,16 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function; outputs lie strictly in (0, 1)."""
+    """Numerically stable logistic function; outputs lie in [0, 1].
+
+    In float32 the result saturates to exactly 1.0 for x >= 17 and to 0.0
+    for x <= -104, so callers that take logs must clamp first (the loss
+    does).  NaN stays NaN.
+    """
     d = x.data
-    data = np.empty_like(d)
-    pos = d >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(d, -d))  # exp(-|x|); -abs(x) would turn +NaN into -NaN
+    data = np.where(d >= 0, 1.0, e)
+    data /= e + 1.0
 
     def bw(out):
         def run():
@@ -356,6 +367,8 @@ def _pad_flat(x: np.ndarray, k: int) -> np.ndarray:
     """Zero-pad (N,C,H,W) by (k-1)/2 and flatten each padded plane, plus
     k-1 spare zeros so that the last tap's slice stays in bounds."""
     n, c, h, w = x.shape
+    if k == 1:
+        return x.reshape(n, c, h * w)
     p = (k - 1) // 2
     hp, wp = h + 2 * p, w + 2 * p
     flat = np.zeros((n, c, hp * wp + k - 1), dtype=x.dtype)
@@ -375,6 +388,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     slice at offset i*Wp + j, so each tap is one matmul of W[:, :, i, j]
     against a view, with no im2col copy.  Rows are computed Wp wide and
     the Wp - W junk columns are cropped.
+
+    The forward splits the H*Wp flat outputs into near-equal column blocks
+    of ``_BLOCK`` to ``2 * _BLOCK`` positions (one block when there are
+    fewer) and sums all taps into one block before moving to the next.
+    Taps are summed in the order (0, 0) ... (k-1, k-1) within every block,
+    so the result does not depend on the blocking.
     """
     _require_4d(x, "conv2d")
     if weight.data.ndim != 4:
@@ -402,10 +421,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     offsets = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
     flat = _pad_flat(x.data, kh)
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (k, k, O, C)
-    acc = np.matmul(taps[0, 0], flat[:, :, :span])
-    tmp = np.empty_like(acc)
-    for i, j, off in offsets[1:]:
-        acc += np.matmul(taps[i, j], flat[:, :, off : off + span], out=tmp)
+    nb = max(1, span // _BLOCK)
+    bounds = [span * b // nb for b in range(nb + 1)]
+    acc = np.empty((n, cout, span), dtype=np.result_type(taps, flat))
+    tmp = np.empty(n * cout * -(-span // nb), dtype=acc.dtype)
+    for c0, c1 in zip(bounds, bounds[1:]):
+        blk = acc[:, :, c0:c1]
+        np.matmul(taps[0, 0], flat[:, :, c0:c1], out=blk)
+        t = tmp[: n * cout * (c1 - c0)].reshape(n, cout, c1 - c0)
+        for i, j, off in offsets[1:]:
+            blk += np.matmul(taps[i, j], flat[:, :, off + c0 : off + c1], out=t)
     out_data = acc.reshape(n, cout, h, wp)[..., :w] + bias.data[None, :, None, None]
 
     def bw(out):
@@ -478,23 +503,34 @@ def batchnorm2d(
             running_var += momentum * var.astype(running_var.dtype)
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    mean4, inv4 = mean[None, :, None, None], inv[None, :, None, None]
+    out_data = x.data - mean4
+    out_data *= inv4
+    out_data *= gamma.data[None, :, None, None]
+    out_data += beta.data[None, :, None, None]
 
     def bw(out):
         def run():
             g = out.grad
-            _accum(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-            _accum(beta, g.sum(axis=(0, 2, 3)))
+            xhat = x.data - mean4
+            xhat *= inv4
+            gsum = g.sum(axis=(0, 2, 3), keepdims=True)
+            gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+            _accum(gamma, gxsum.reshape(c))
+            _accum(beta, gsum.reshape(c))
             if x.requires_grad:
                 scale = (gamma.data * inv)[None, :, None, None]
                 if mode == "eval":
                     _accum(x, g * scale)
                 else:
+                    # scale * (g - gsum / m - xhat * gxsum / m), same order, in place
                     m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-                    gsum = g.sum(axis=(0, 2, 3), keepdims=True)
-                    gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                    _accum(x, scale * (g - gsum / m - xhat * gxsum / m))
+                    dx = g - gsum / m
+                    xhat *= gxsum
+                    xhat /= m
+                    dx -= xhat
+                    dx *= scale
+                    _accum(x, dx)
 
         return run
 
@@ -563,10 +599,12 @@ def upconv2x2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     w4 = weight.data.reshape(cin, cout * 4)
     x3 = x.data.reshape(n, cin, h * w)
     blocks = np.matmul(w4.T, x3).reshape(n, cout, 2, 2, h, w)
-    out_data = (
-        blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, 2 * h, 2 * w)
-        + bias.data[None, :, None, None]
-    )
+    blocks += bias.data[None, :, None, None, None, None]
+    grid = np.empty((n, cout, h, 2, w, 2), dtype=blocks.dtype)
+    for a in (0, 1):
+        for b in (0, 1):
+            grid[:, :, :, a, :, b] = blocks[:, :, a, b]
+    out_data = grid.reshape(n, cout, 2 * h, 2 * w)
 
     def bw(out):
         def run():

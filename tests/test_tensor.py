@@ -1,5 +1,7 @@
 """Forward semantics and shape contracts of the autodiff primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from diffnet.errors import ContractError, ShapeError
 from diffnet.losses import LossConfig, hybrid_loss
 from diffnet.tensor import (
+    _BLOCK,
     Tensor,
     batchnorm2d,
     clamp,
@@ -16,6 +19,7 @@ from diffnet.tensor import (
     log,
     maxpool2x2,
     mul,
+    no_grad,
     relu,
     sigmoid,
     sub,
@@ -131,6 +135,23 @@ class TestElementwise:
         assert np.all(np.isfinite(out))
         assert 0.0 < out[1] <= 1.0 and 0.0 <= out[0] < 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_two_branch_formula_bitwise(self, dtype):
+        d = np.array([0, -0.0, 16, -16, 17, -17, -88, -104, np.inf, -np.inf, np.nan], dtype)
+        ref = np.empty_like(d)
+        pos = d >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+        ex = np.exp(d[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        out = sigmoid(Tensor(d)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
+
+    def test_sigmoid_saturates_in_float32(self):
+        out = sigmoid(Tensor(np.array([16, 17, -88, -104], np.float32))).data
+        assert out[0] < 1.0 and out[1] == 1.0
+        assert out[2] > 0.0 and out[3] == 0.0
+
 
 def argmax_route(x, g):
     """Reference 2x2 pooling: window argmax (first maximum in scan order,
@@ -242,6 +263,51 @@ class TestUpconv:
                 Tensor(randn(rng, 2, 4, 2, 2)),
                 Tensor(np.zeros(4, np.float32)),
             )
+
+
+def naive_upconv2x2(x, w, b, g):
+    """Float64 per-pixel reference: forward, then the weight, bias and input
+    gradients for the cotangent ``g``; pixel (y, x) paints the output block
+    at (2y, 2x) with ``x[:, :, y, x] @ w`` plus the bias."""
+    n, cin, h, wd = x.shape
+    cout = w.shape[1]
+    out = np.zeros((n, cout, 2 * h, 2 * wd))
+    gw = np.zeros_like(w)
+    gx = np.zeros_like(x)
+    for y in range(h):
+        for xx in range(wd):
+            for a in range(2):
+                for c in range(2):
+                    oy, ox = 2 * y + a, 2 * xx + c
+                    out[:, :, oy, ox] = x[:, :, y, xx] @ w[:, :, a, c] + b
+                    gw[:, :, a, c] += x[:, :, y, xx].T @ g[:, :, oy, ox]
+                    gx[:, :, y, xx] += g[:, :, oy, ox] @ w[:, :, a, c].T
+    return out, gw, g.sum(axis=(0, 2, 3)), gx
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    cin=st.integers(1, 4),
+    cout=st.integers(1, 4),
+    h=st.integers(1, 5),
+    w=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+)
+@example(n=2, cin=3, cout=4, h=3, w=5, seed=0)
+def test_upconv2x2_matches_naive_reference(n, cin, cout, h, w, seed):
+    g = np.random.default_rng(seed)
+    x = g.standard_normal((n, cin, h, w))
+    wt = g.standard_normal((cin, cout, 2, 2))
+    b = g.standard_normal(cout)
+    up = g.standard_normal((n, cout, 2 * h, 2 * w))
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+    out = upconv2x2(tx, tw, tb)
+    tsum(mul(out, up)).backward()
+    ref_out, ref_gw, ref_gb, ref_gx = naive_upconv2x2(x, wt, b, up)
+    for got, ref in ((out.data, ref_out), (tw.grad, ref_gw), (tb.grad, ref_gb), (tx.grad, ref_gx)):
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
 class TestConcatAndSub:
@@ -426,6 +492,8 @@ def naive_conv2d(x, w, b, g):
 )
 @example(n=2, cin=3, cout=5, h=4, w=7, k=3, seed=0)
 @example(n=3, cin=4, cout=2, h=6, w=3, k=1, seed=1)
+@example(n=2, cin=3, cout=5, h=96, w=90, k=3, seed=2)  # H*(W+2) >= 2*_BLOCK: column blocks
+@example(n=2, cin=3, cout=5, h=96, w=90, k=1, seed=3)
 def test_conv2d_matches_naive_reference(n, cin, cout, h, w, k, seed):
     g = np.random.default_rng(seed)
     x = g.standard_normal((n, cin, h, w))
@@ -439,3 +507,44 @@ def test_conv2d_matches_naive_reference(n, cin, cout, h, w, k, seed):
     for got, ref in ((out.data, ref_out), (tw.grad, ref_gw), (tb.grad, ref_gb), (tx.grad, ref_gx)):
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+
+# -- memory of the forward kernels ---------------------------------------------
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of ``fn()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+SLACK = 64 * 1024  # small arrays and Python objects
+
+
+def test_conv2d_forward_holds_one_block_of_temporaries(rng):
+    n, c, h, w = 1, 8, 256, 256
+    x, wt, b = Tensor(randn(rng, n, c, h, w)), Tensor(randn(rng, c, c, 3, 3)), Tensor(randn(rng, c))
+    with no_grad():
+        out, peak = traced_peak(lambda: conv2d(x, wt, b))
+    span = h * (w + 2)
+    block = -(-span // (span // _BLOCK))
+    padded = n * c * ((h + 2) * (w + 2) + 2) * 4
+    acc = n * c * span * 4
+    assert span >= 2 * _BLOCK
+    assert peak <= padded + acc + out.data.nbytes + n * c * block * 4 + SLACK
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_batchnorm2d_forward_holds_about_one_output(rng, mode):
+    x = Tensor(randn(rng, 1, 8, 256, 256))
+    gamma, beta = Tensor(randn(rng, 8)), Tensor(randn(rng, 8))
+    rmean, rvar = randn(rng, 8), np.abs(randn(rng, 8)) + 0.5
+    with no_grad():
+        out, peak = traced_peak(lambda: batchnorm2d(x, gamma, beta, rmean, rvar, mode))
+    assert peak <= out.data.nbytes + SLACK
