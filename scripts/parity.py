@@ -2,7 +2,10 @@
 
 A seeded 12-step ``train`` at the acceptance config gives its TrainLog and
 every checkpoint tensor; the trained model's eval-mode probabilities on a
-seeded 512x512 and a 96x160 scene follow.  Run it on two commits and diff:
+seeded 512x512 and a 96x160 scene follow.  Last come the gradients of every
+parameter after one train-mode forward and backward of a fresh model, before
+any Adam step, so that a backward change shows which gradient moved.  Run
+it on two commits and diff:
 
     PYTHONPATH=src python scripts/parity.py > after.txt
 """
@@ -12,6 +15,7 @@ import hashlib
 import numpy as np
 
 from diffnet.data import SceneParams, generate_scene
+from diffnet.losses import LossConfig, hybrid_loss
 from diffnet.model import ModelConfig, init_model
 from diffnet.tensor import Tensor, no_grad
 from diffnet.train import TrainConfig, train
@@ -34,6 +38,12 @@ def main():
         with no_grad():
             probs = model.forward(Tensor(tile.pre[None]), Tensor(tile.post[None]))
         print(f"predict.{h}x{w} {digest(probs.data)}")
+    model = init_model(ModelConfig(in_channels=8, base_width=8), seed=3)
+    pre, post = (Tensor(np.stack([getattr(t, k) for t in tiles])) for k in ("pre", "post"))
+    probs = model.forward(pre, post, mode="train")
+    hybrid_loss(probs, np.stack([t.mask[None] for t in tiles]), LossConfig()).backward()
+    for name, param in model.parameter_list():
+        print(f"grad.{name} {digest(param.grad)}")
 
 
 if __name__ == "__main__":

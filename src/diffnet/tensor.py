@@ -8,12 +8,16 @@ into each participating tensor's ``grad`` buffer, and consumes it: each
 closure is dropped after it runs, so a graph can be walked back only once.
 
 ``conv2d`` is a shifted-tap GEMM over one zero-padded flat copy of the
-input (each kernel tap is a matmul against a contiguous slice of it); its
-forward runs over column blocks of ``_BLOCK`` output positions so that
-each block's working set stays in cache.  ``batchnorm2d`` builds its
-output in place and keeps no normalized copy (its backward recomputes
-x-hat from the saved input), and ``maxpool2x2`` works on the four strided
-views of its 2x2 windows.
+input (each kernel tap is a matmul against a contiguous slice of it), run
+over column blocks of ``_BLOCK`` output positions so that each block's
+working set stays in cache.  Its input gradient runs on the same blocked
+loop over the zero-padded output gradient, with the transposed taps at
+mirrored offsets.  ``batchnorm2d`` builds its output in place and keeps no
+normalized copy (its backward recomputes x-hat from the saved input), and
+``maxpool2x2`` works on the four strided views of its 2x2 windows; its
+backward selects the gradient with a bit mask instead of ``np.where``.
+A backward closure hands a gradient it has just allocated to ``_accum``
+as owned, so the first contribution to a tensor is not copied.
 
 Working precision is float32; every kernel is dtype-generic, so the same
 ops run in float64 for numeric gradient checking.  Image tensors use the
@@ -28,9 +32,12 @@ from .errors import ConfigError, ContractError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# conv2d forward computes this many flat output positions per column block,
-# so that a block's accumulator and tap product stay in L2 across all taps
+# conv2d computes this many flat output positions per column block, so
+# that a block's accumulator and tap product stay in L2 across all taps
 _BLOCK = 4096
+
+# unsigned integer of each float width: maxpool2x2's backward masks bits
+_UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 
 _grad_enabled = True
 
@@ -198,10 +205,13 @@ def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t``'s gradient.  The first contribution is copied,
+    since ``g`` may be a view of another gradient, unless ``owned`` says
+    that the caller has just allocated ``g`` and shares it with nothing."""
     if t.requires_grad:
         if t._grad is None:
-            t._grad = np.array(g)  # own the buffer; g may be a view
+            t._grad = g if owned else np.array(g)
         else:
             t._grad += g
 
@@ -275,7 +285,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(out):
         def run():
             _accum(a, out.grad)
-            _accum(b, -out.grad)
+            _accum(b, -out.grad, owned=True)
 
         return run
 
@@ -300,7 +310,7 @@ def log(x: Tensor) -> Tensor:
 
     def bw(out):
         def run():
-            _accum(x, out.grad / x.data)
+            _accum(x, out.grad / x.data, owned=True)
 
         return run
 
@@ -314,7 +324,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     def bw(out):
         def run():
             inside = ((x.data >= lo) & (x.data <= hi)).astype(x.dtype)
-            _accum(x, out.grad * inside)
+            _accum(x, out.grad * inside, owned=True)
 
         return run
 
@@ -327,7 +337,7 @@ def relu(x: Tensor) -> Tensor:
 
     def bw(out):
         def run():
-            _accum(x, out.grad * (x.data > 0))
+            _accum(x, out.grad * (x.data > 0), owned=True)
 
         return run
 
@@ -348,7 +358,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def bw(out):
         def run():
-            _accum(x, out.grad * out.data * (1.0 - out.data))
+            _accum(x, out.grad * out.data * (1.0 - out.data), owned=True)
 
         return run
 
@@ -376,6 +386,30 @@ def _pad_flat(x: np.ndarray, k: int) -> np.ndarray:
     return flat
 
 
+def _shifted_taps(pairs: list, flat: np.ndarray, span: int) -> np.ndarray:
+    """Sum ``tap @ flat[:, :, off : off + span]`` over the (tap, off) pairs
+    into a new (N, rows, span) array, one column block at a time.
+
+    The span splits into near-equal blocks of ``_BLOCK`` to ``2 * _BLOCK``
+    positions (one block when there are fewer), and every pair is summed
+    into a block, in the order given, before the next block starts; so the
+    result does not depend on the blocking.
+    """
+    (tap0, off0), rest = pairs[0], pairs[1:]
+    n, rows = flat.shape[0], tap0.shape[0]
+    nb = max(1, span // _BLOCK)
+    bounds = [span * b // nb for b in range(nb + 1)]
+    acc = np.empty((n, rows, span), dtype=np.result_type(tap0, flat))
+    tmp = np.empty(n * rows * -(-span // nb), dtype=acc.dtype)
+    for c0, c1 in zip(bounds, bounds[1:]):
+        blk = acc[:, :, c0:c1]
+        np.matmul(tap0, flat[:, :, off0 + c0 : off0 + c1], out=blk)
+        t = tmp[: n * rows * (c1 - c0)].reshape(n, rows, c1 - c0)
+        for tap, off in rest:
+            blk += np.matmul(tap, flat[:, :, off + c0 : off + c1], out=t)
+    return acc
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     """2-D convolution (cross-correlation), stride 1, zero padding.
 
@@ -387,13 +421,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     Wp = W + 2p.  Tap (i, j) of every output row is then the contiguous
     slice at offset i*Wp + j, so each tap is one matmul of W[:, :, i, j]
     against a view, with no im2col copy.  Rows are computed Wp wide and
-    the Wp - W junk columns are cropped.
+    the Wp - W junk columns are cropped.  The taps are summed in the
+    order (0, 0) ... (k-1, k-1), one column block at a time
+    (``_shifted_taps``).
 
-    The forward splits the H*Wp flat outputs into near-equal column blocks
-    of ``_BLOCK`` to ``2 * _BLOCK`` positions (one block when there are
-    fewer) and sums all taps into one block before moving to the next.
-    Taps are summed in the order (0, 0) ... (k-1, k-1) within every block,
-    so the result does not depend on the blocking.
+    The input gradient is the correlation of the output gradient with the
+    transposed, mirrored kernel, so it runs on the same loop: the output
+    gradient is padded the same way, and tap (i, j) contributes
+    W[:, :, i, j].T at offset (k-1-i)*Wp + (k-1-j), still in the order
+    (0, 0) ... (k-1, k-1).  The weight gradient reads the padded output
+    gradient as Wp-wide rows whose junk columns are the zero padding.
     """
     _require_4d(x, "conv2d")
     if weight.data.ndim != 4:
@@ -418,42 +455,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
         )
     wp = w + 2 * padding
     span = h * wp
-    offsets = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    order = [(i, j) for i in range(kh) for j in range(kw)]
     flat = _pad_flat(x.data, kh)
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (k, k, O, C)
-    nb = max(1, span // _BLOCK)
-    bounds = [span * b // nb for b in range(nb + 1)]
-    acc = np.empty((n, cout, span), dtype=np.result_type(taps, flat))
-    tmp = np.empty(n * cout * -(-span // nb), dtype=acc.dtype)
-    for c0, c1 in zip(bounds, bounds[1:]):
-        blk = acc[:, :, c0:c1]
-        np.matmul(taps[0, 0], flat[:, :, c0:c1], out=blk)
-        t = tmp[: n * cout * (c1 - c0)].reshape(n, cout, c1 - c0)
-        for i, j, off in offsets[1:]:
-            blk += np.matmul(taps[i, j], flat[:, :, off + c0 : off + c1], out=t)
+    acc = _shifted_taps([(taps[i, j], i * wp + j) for i, j in order], flat, span)
     out_data = acc.reshape(n, cout, h, wp)[..., :w] + bias.data[None, :, None, None]
 
     def bw(out):
         def run():
             g = out.grad
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-            gp = np.zeros((n, cout, h, wp), dtype=g.dtype)
-            gp[..., :w] = g
-            gp = gp.reshape(n, cout, span)
+            _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
+            gflat = _pad_flat(g, kh)
+            # g as Wp-wide rows: the right pad and the next row's left pad
+            # are the zero junk columns
+            start = padding * wp + padding
+            gp = gflat[:, :, start : start + span]
             if weight.requires_grad:
                 gw = np.empty_like(weight.data)
-                for i, j, off in offsets:
+                for i, j in order:
+                    off = i * wp + j
                     tap = flat[:, :, off : off + span].transpose(0, 2, 1)
                     gw[:, :, i, j] = np.matmul(gp, tap).sum(axis=0)
-                _accum(weight, gw)
+                _accum(weight, gw, owned=True)
             if x.requires_grad:
-                dflat = np.zeros_like(flat)
-                dtmp = np.empty((n, cin, span), dtype=g.dtype)
-                for i, j, off in offsets:
-                    dflat[:, :, off : off + span] += np.matmul(taps[i, j].T, gp, out=dtmp)
-                hp = h + 2 * padding
-                dx = dflat[:, :, : hp * wp].reshape(n, cin, hp, wp)
-                _accum(x, dx[:, :, padding : padding + h, padding : padding + w])
+                k = kh - 1
+                pairs = [(taps[i, j].T, (k - i) * wp + (k - j)) for i, j in order]
+                dx = _shifted_taps(pairs, gflat, span).reshape(n, cin, h, wp)
+                _accum(x, dx[..., :w])
 
         return run
 
@@ -516,12 +544,12 @@ def batchnorm2d(
             xhat *= inv4
             gsum = g.sum(axis=(0, 2, 3), keepdims=True)
             gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            _accum(gamma, gxsum.reshape(c))
-            _accum(beta, gsum.reshape(c))
+            _accum(gamma, gxsum.reshape(c), owned=True)
+            _accum(beta, gsum.reshape(c), owned=True)
             if x.requires_grad:
                 scale = (gamma.data * inv)[None, :, None, None]
                 if mode == "eval":
-                    _accum(x, g * scale)
+                    _accum(x, g * scale, owned=True)
                 else:
                     # scale * (g - gsum / m - xhat * gxsum / m), same order, in place
                     m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
@@ -530,7 +558,7 @@ def batchnorm2d(
                     xhat /= m
                     dx -= xhat
                     dx *= scale
-                    _accum(x, dx)
+                    _accum(x, dx, owned=True)
 
         return run
 
@@ -544,6 +572,10 @@ def maxpool2x2(x: Tensor) -> Tensor:
     The four window positions are strided views ``x[:, :, a::2, b::2]``;
     the forward is their elementwise maximum.  A NaN in a window makes the
     output NaN, and the gradient then goes to the window's first NaN.
+
+    The backward writes ``g & mask`` straight into each window position's
+    strided view of the input gradient, the mask being all ones where that
+    position takes the gradient: bit for bit ``np.where(hit, g, 0)``.
     """
     _require_4d(x, "maxpool2x2")
     n, c, h, w = x.data.shape
@@ -558,16 +590,20 @@ def maxpool2x2(x: Tensor) -> Tensor:
     def bw(out):
         def run():
             g = out.grad
+            u = _UINT[g.dtype]
             gx = np.empty_like(d)
             taken = np.zeros(out_data.shape, dtype=bool)
-            for a, b in ((0, 0), (0, 1), (1, 0)):  # scan order; (1, 1) gets the rest
-                xq = d[:, :, a::2, b::2]
-                hit = (xq == out_data) | np.isnan(xq)
-                hit &= ~taken
-                taken |= hit
-                gx[:, :, a::2, b::2] = np.where(hit, g, 0)
-            gx[:, :, 1::2, 1::2] = np.where(taken, 0, g)
-            _accum(x, gx)
+            for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):  # scan order
+                if (a, b) == (1, 1):
+                    hit = ~taken  # the rest
+                else:
+                    xq = d[:, :, a::2, b::2]
+                    hit = (xq == out_data) | np.isnan(xq)
+                    hit &= ~taken
+                    taken |= hit
+                mask = np.negative(hit, dtype=u)  # True -> all ones
+                np.bitwise_and(g.view(u), mask, out=gx.view(u)[:, :, a::2, b::2])
+            _accum(x, gx, owned=True)
 
         return run
 
@@ -609,16 +645,16 @@ def upconv2x2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def bw(out):
         def run():
             g = out.grad
-            _accum(bias, g.sum(axis=(0, 2, 3)))
+            _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
             g4 = (
                 g.reshape(n, cout, h, 2, w, 2)
                 .transpose(0, 1, 3, 5, 2, 4)
                 .reshape(n, cout * 4, h * w)
             )
             gw = np.matmul(x3, g4.transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, gw.reshape(cin, cout, 2, 2))
+            _accum(weight, gw.reshape(cin, cout, 2, 2), owned=True)
             if x.requires_grad:
-                _accum(x, np.matmul(w4, g4).reshape(n, cin, h, w))
+                _accum(x, np.matmul(w4, g4).reshape(n, cin, h, w), owned=True)
 
         return run
 

@@ -241,6 +241,23 @@ class TestMaxPool:
         np.testing.assert_array_equal(out, ref_out)
         assert np.array_equal(grad, ref_grad)
 
+    @pytest.mark.parametrize("dtype, uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_special_cotangents_route_bit_for_bit(self, dtype, uint):
+        g = np.random.default_rng(7)
+        x = g.integers(-1, 2, (2, 3, 8, 8)).astype(dtype)  # many ties
+        x[g.random(x.shape) < 0.15] = np.nan
+        bits = np.iinfo(uint).bits
+        payload_nan = np.array((0x7FF << (bits - 12)) | 0x2345, uint).view(dtype)
+        negative_nan = np.array(((1 << bits) - 1) ^ 0xF, uint).view(dtype)
+        specials = np.array([-0.0, np.inf, -np.inf, payload_nan, negative_nan, 1.5, -2.25], dtype)
+        up = specials[g.integers(0, len(specials), (2, 3, 4, 4))]
+        t = Tensor(x, requires_grad=True)
+        out = maxpool2x2(t)
+        out.grad = up
+        out._backward()
+        assert t.grad.dtype == dtype
+        assert t.grad.tobytes() == argmax_route(x, up)[1].tobytes()
+
 
 class TestUpconv:
     def test_single_pixel_broadcast(self):
@@ -339,6 +356,28 @@ class TestConcatAndSub:
             sub(Tensor(randn(rng, 2, 3)), Tensor(randn(rng, 3, 2)))
 
 
+def model_loss_after_backward(model, scene):
+    """Train-mode forward of a 32x32 crop, the hybrid loss, then backward."""
+    pre = Tensor(scene.pre[None, :, :32, :32])
+    post = Tensor(scene.post[None, :, :32, :32])
+    probs = model.forward(pre, post, mode="train")
+    loss = hybrid_loss(probs, scene.mask[None, None, :32, :32], LossConfig())
+    loss.backward()
+    return loss
+
+
+def graph_nodes(root):
+    """Every distinct tensor reachable from ``root`` through its parents."""
+    nodes, todo, seen = [], [root], set()
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+    return nodes
+
+
 class TestBackward:
     def test_sum_gives_ones(self, rng):
         x = Tensor(randn(rng, 3, 4), requires_grad=True)
@@ -372,22 +411,20 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [2.0], rtol=1e-12)
 
     def test_backward_consumes_the_graph(self, small_model, small_scene):
-        pre = Tensor(small_scene.pre[None, :, :32, :32])
-        post = Tensor(small_scene.post[None, :, :32, :32])
-        probs = small_model.forward(pre, post, mode="train")
-        loss = hybrid_loss(probs, small_scene.mask[None, None, :32, :32], LossConfig())
-        loss.backward()
-        nodes, todo, seen = 0, [loss], set()
-        while todo:
-            node = todo.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                nodes += 1
-                assert node._backward is None
-                todo.extend(node._parents)
-        assert nodes > 100
+        loss = model_loss_after_backward(small_model, small_scene)
+        nodes = graph_nodes(loss)
+        assert len(nodes) > 100
+        assert all(node._backward is None for node in nodes)
         with pytest.raises(ContractError, match="consumed"):
             loss.backward()
+
+    def test_no_two_tensors_share_a_gradient_buffer(self, small_model, small_scene):
+        loss = model_loss_after_backward(small_model, small_scene)
+        grads = [node._grad for node in graph_nodes(loss) if node._grad is not None]
+        assert len(grads) > 100
+        for i, a in enumerate(grads):
+            for b in grads[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
     def test_loss_over_a_consumed_subgraph_rejected(self, rng):
         x = Tensor(randn(rng, 2, 2), requires_grad=True)
@@ -538,6 +575,23 @@ def test_conv2d_forward_holds_one_block_of_temporaries(rng):
     acc = n * c * span * 4
     assert span >= 2 * _BLOCK
     assert peak <= padded + acc + out.data.nbytes + n * c * block * 4 + SLACK
+
+
+def test_conv2d_input_gradient_holds_one_block_of_temporaries(rng):
+    n, c, h, w = 1, 8, 256, 256
+    x, wt, b = (
+        Tensor(a, requires_grad=True)
+        for a in (randn(rng, n, c, h, w), randn(rng, c, c, 3, 3), randn(rng, c))
+    )
+    out = conv2d(x, wt, b)
+    out.grad = randn(rng, n, c, h, w)
+    _, peak = traced_peak(out._backward)
+    span = h * (w + 2)
+    block = -(-span // (span // _BLOCK))
+    padded = n * c * ((h + 2) * (w + 2) + 2) * 4
+    acc = n * c * span * 4
+    assert span >= 2 * _BLOCK
+    assert peak <= padded + acc + n * c * block * 4 + x.grad.nbytes + SLACK
 
 
 @pytest.mark.parametrize("mode", ["eval", "train"])
