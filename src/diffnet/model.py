@@ -162,29 +162,35 @@ class SiameseUNet:
         return sigmoid(logits)
 
 
-def init_model(config: ModelConfig, seed: int) -> SiameseUNet:
-    """Deterministically initialize from (config, seed).
-
-    Conv and upconv weights draw from the He-uniform distribution
-    U(-sqrt(6/fan_in), sqrt(6/fan_in)) using a PCG64 generator; biases
-    start at zero, batch-norm gamma at one and beta at zero, running
-    stats at (0, 1).
-    """
+def _allocate(config: ModelConfig) -> SiameseUNet:
+    """Validate the config and allocate every parameter and buffer:
+    batch-norm gamma and running variance at one, everything else at zero.
+    Callers fill in the weights, so none is drawn only to be overwritten."""
     config.validate()
-    rng = np.random.default_rng(np.random.PCG64(seed))
     params: dict[str, Tensor] = {}
     buffers: dict[str, np.ndarray] = {}
-    for name, shape, fan_in in _param_specs(config):
-        if fan_in is not None:
-            bound = np.sqrt(6.0 / fan_in)
-            data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        elif name.endswith("bn.gamma"):
-            data = np.ones(shape, dtype=np.float32)
-        else:
-            data = np.zeros(shape, dtype=np.float32)
-        params[name] = Tensor(data, requires_grad=True)
+    for name, shape, _ in _param_specs(config):
+        fill = np.ones if name.endswith("bn.gamma") else np.zeros
+        params[name] = Tensor(fill(shape, dtype=np.float32), requires_grad=True)
         if name.endswith("bn.gamma"):
             stem = name[: -len("gamma")]
             buffers[stem + "running_mean"] = np.zeros(shape, dtype=np.float32)
             buffers[stem + "running_var"] = np.ones(shape, dtype=np.float32)
     return SiameseUNet(config, params, buffers)
+
+
+def init_model(config: ModelConfig, seed: int) -> SiameseUNet:
+    """Deterministically initialize from (config, seed).
+
+    Conv and upconv weights draw from the He-uniform distribution
+    U(-sqrt(6/fan_in), sqrt(6/fan_in)) using a PCG64 generator, in
+    canonical parameter order; biases start at zero, batch-norm gamma at
+    one and beta at zero, running stats at (0, 1).
+    """
+    model = _allocate(config)
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    for name, shape, fan_in in _param_specs(config):
+        if fan_in is not None:
+            bound = np.sqrt(6.0 / fan_in)
+            model.params[name].data[...] = rng.uniform(-bound, bound, size=shape)
+    return model

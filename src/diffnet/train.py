@@ -1,12 +1,13 @@
 """Deterministic training loop, Adam optimizer, checkpoints and prediction.
 
 Checkpoint file layout (version 1): magic ``SUNC``, uint16 version, a
-uint32-length-prefixed UTF-8 header of ``key=value`` lines describing the
-model config and step count, a uint32 record count, then one record per
-tensor (uint32 name length, name, uint32 rank, uint32 dims, float32
-little-endian data) covering the trainable parameters followed by the
-batch-norm running buffers, and finally the trainer RNG state as four
-little-endian uint64 words (PCG64 state and increment, low word first).
+uint32-length-prefixed UTF-8 header of ``key=value`` lines giving each of
+``in_channels``, ``base_width`` and ``step`` (>= 0) exactly once, a uint32
+record count, then one record per tensor (uint32 name length, name,
+uint32 rank, uint32 dims, float32 little-endian data) covering the
+trainable parameters followed by the batch-norm running buffers, and
+finally the trainer RNG state as four little-endian uint64 words (PCG64
+state and increment, low word first).
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .errors import (
     ShapeError,
 )
 from .losses import LossConfig, auto_pos_weight, dice_loss, weighted_bce
-from .model import ModelConfig, SiameseUNet, init_model
+from .model import ModelConfig, SiameseUNet, _allocate
 from .tensor import Tensor, no_grad
 
 CKPT_MAGIC = b"SUNC"
 CKPT_VERSION = 1
+CKPT_HEADER_KEYS = ("in_channels", "base_width", "step")
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,9 @@ def checkpoint_from_model(
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> SiameseUNet:
-    model = init_model(ckpt.config, seed=0)
+    """A model holding copies of the checkpoint's tensors.  Nothing is
+    drawn at random: every allocated array is overwritten by the restore."""
+    model = _allocate(ckpt.config)
     restore_model(model, ckpt)
     return model
 
@@ -236,9 +240,14 @@ def load_checkpoint(path) -> Checkpoint:
     for line in r.text(hlen, "header").splitlines():
         key, _, value = line.partition("=")
         try:
-            header[key] = int(value)
+            number = int(value)
         except ValueError:
             r.fail(f"header line {line!r} is not key=integer", at)
+        if key not in CKPT_HEADER_KEYS:
+            r.fail(f"unknown header key {key!r}", at)
+        if key in header:
+            r.fail(f"repeated header key {key!r}", at)
+        header[key] = number
     try:
         config = ModelConfig(
             in_channels=header["in_channels"], base_width=header["base_width"]
@@ -249,6 +258,8 @@ def load_checkpoint(path) -> Checkpoint:
         r.fail(f"header missing key {e}", at)
     except ConfigError as e:
         r.fail(f"invalid header: {e}", at)
+    if step < 0:
+        r.fail(f"invalid header: step must be >= 0, got {step}", at)
 
     (n_records,) = r.unpack("I", "record count")
     tensors: dict[str, np.ndarray] = {}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffnet.cli import main, render_confusion
+from diffnet.cli import CONFUSION_COLORS, main, render_confusion
 from diffnet.data import (
     SceneParams,
     generate_scene,
@@ -271,6 +271,21 @@ class TestEval:
         assert before == after
 
 
+def assert_render_matches_reference(pred, truth, out):
+    """render_confusion's bytes equal an overlay painted class by class."""
+    h, w = truth.shape
+    img = np.zeros((h, w, 3), np.uint8)
+    valid = (truth != 255) & (pred != 255)
+    pp, tt = pred == 1, truth == 1
+    img[valid & pp & tt] = CONFUSION_COLORS["tp"]
+    img[valid & ~pp & ~tt] = CONFUSION_COLORS["tn"]
+    img[valid & pp & ~tt] = CONFUSION_COLORS["fp"]
+    img[valid & ~pp & tt] = CONFUSION_COLORS["fn"]
+    img[~valid] = CONFUSION_COLORS["nodata"]
+    render_confusion(pred, truth, out)
+    assert out.read_bytes() == f"P6\n{w} {h}\n255\n".encode() + img.tobytes()
+
+
 class TestRender:
     def test_two_by_two_colors(self, tmp_path):
         pred = np.array([[1, 0], [1, 0]], np.uint8)
@@ -311,14 +326,31 @@ class TestRender:
         assert rc == 0
         assert out.read_bytes().startswith(b"P6\n64 64\n255\n")
 
-    def test_dim_mismatch_is_usage_error(self, tmp_path):
+    def test_dim_mismatch_is_data_error(self, tmp_path):
         a = tmp_path / "a.btm"
         b = tmp_path / "b.btm"
         write_mask(np.zeros((4, 4), np.uint8), a)
         write_mask(np.zeros((8, 8), np.uint8), b)
         rc = main(["render", "--pred", str(a), "--truth", str(b),
                    "--out", str(tmp_path / "o.ppm")])
-        assert rc == 2
+        assert rc == 3
+
+    def test_all_nine_value_pairs_match_reference(self, tmp_path):
+        values = np.array([0, 1, 255], np.uint8)
+        pred, truth = (a.reshape(3, 3) for a in np.meshgrid(values, values, indexing="ij"))
+        assert_render_matches_reference(pred, truth, tmp_path / "o.ppm")
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_random_masks_match_reference(self, tmp_path_factory, data):
+        h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        pixel = st.sampled_from([0, 1, 255])
+        pred, truth = (
+            np.array(data.draw(st.lists(pixel, min_size=h * w, max_size=h * w)),
+                     np.uint8).reshape(h, w)
+            for _ in range(2)
+        )
+        assert_render_matches_reference(pred, truth, tmp_path_factory.getbasetemp() / "o.ppm")
 
 
 class TestUsage:
@@ -420,6 +452,21 @@ class TestMalformedInputs:
         replace_once(path, b"step=3\n", b"step=x\n")
         assert predict_rc(path, tile, tmp_path) == 3
         assert "'step=x' is not key=integer at byte 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b"step=3\n", b"step=-3", "step must be >= 0, got -3"),
+            (b"in_channels=2\n", b"step=3\nstep=3\n", "repeated header key 'step'"),
+            (b"step=3\n", b"stop=3\n", "unknown header key 'stop'"),
+        ],
+        ids=["negative_step", "repeated_key", "unknown_key"],
+    )
+    def test_bad_header_key_or_step(self, site, tmp_path, capsys, old, new, message):
+        tile, path = site
+        replace_once(path, old, new)
+        assert predict_rc(path, tile, tmp_path) == 3
+        assert f"{message} at byte 10" in capsys.readouterr().err
 
     def test_non_utf8_tensor_name(self, site, tmp_path, capsys):
         tile, path = site

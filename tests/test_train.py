@@ -240,6 +240,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="duplicate tensor 'enc1.conv.bias'"):
             load_checkpoint(path)
 
+    def test_model_from_checkpoint_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.sunc"
+        save_checkpoint(checkpoint_from_model(init_model(TINY, seed=2)), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("model_from_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "PCG64", refuse)
+        model_from_checkpoint(load_checkpoint(path))
+
+    def test_loaded_model_owns_bitwise_copies(self, tmp_path):
+        path = tmp_path / "model.sunc"
+        model = init_model(TINY, seed=2)
+        train(model, tiny_tiles(2), TrainConfig(steps=2, batch_size=2, patch_size=32))
+        save_checkpoint(checkpoint_from_model(model), path)
+        ckpt = load_checkpoint(path)
+        loaded = model_from_checkpoint(ckpt)
+        got = {k: t.data for k, t in loaded.params.items()} | loaded.buffers
+        want = ckpt.params | ckpt.buffers
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+            assert not np.shares_memory(got[name], arr), name
+
     def test_config_mismatch_is_error_not_reshape(self, tmp_path):
         model = init_model(TINY, seed=0)
         path = tmp_path / "model.sunc"
