@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    NODATA,
     SceneParams,
     generate_scene,
     read_mask,
@@ -39,7 +38,13 @@ from .errors import (
     TileFormatError,
 )
 from .losses import LossConfig
-from .metrics import METRIC_NAMES, aggregate, confusion_counts, metrics_from_counts
+from .metrics import (
+    METRIC_NAMES,
+    aggregate,
+    confusion_codes,
+    confusion_counts,
+    metrics_from_counts,
+)
 from .model import ModelConfig, init_model
 from .train import (
     TrainConfig,
@@ -68,7 +73,7 @@ _PALETTE = np.array(
 )
 
 
-def resolve_seed(flag_value: int | None, default: int = 0) -> int:
+def resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get("DIFFNET_SEED")
@@ -77,7 +82,7 @@ def resolve_seed(flag_value: int | None, default: int = 0) -> int:
             return int(env)
         except ValueError:
             raise ConfigError(f"DIFFNET_SEED must be an integer, got {env!r}") from None
-    return default
+    return 0
 
 
 def write_manifest(
@@ -114,12 +119,8 @@ def _load_any_mask(path: Path) -> np.ndarray:
 def render_confusion(pred: np.ndarray, truth: np.ndarray, out_path) -> None:
     """Binary PPM overlay: TP white, TN black, FP red, FN blue, nodata gray.
     Pred and truth of different shapes are a ShapeError (exit 3), as in eval."""
-    p = np.asarray(pred)
-    t = np.asarray(truth)
-    if p.shape != t.shape:
-        raise ShapeError(f"pred shape {p.shape} does not match truth shape {t.shape}")
-    h, w = t.shape
-    code = np.where((p == NODATA) | (t == NODATA), 4, 2 * (p == 1) + (t == 1))
+    code = confusion_codes(pred, truth)
+    h, w = code.shape
     img = _PALETTE.take(code, axis=0)  # _PALETTE[code], about 2x faster at 64x64
     with open(out_path, "wb") as f:
         f.write(b"P6\n" + f"{w} {h}\n255\n".encode() + img.tobytes())

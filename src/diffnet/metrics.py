@@ -44,22 +44,21 @@ class MetricSet:
         return tuple(getattr(self, name) for name in METRIC_NAMES)
 
 
-def confusion_counts(pred, truth) -> ConfusionCounts:
-    """Per-pixel confusion tallies of a binary prediction against truth."""
+def confusion_codes(pred, truth) -> np.ndarray:
+    """Each pixel's class as the code 2*(pred == 1) + (truth == 1), that is
+    0 tn, 1 fn, 2 fp, 3 tp, or 4 where either mask is nodata."""
     p = np.asarray(pred)
     t = np.asarray(truth)
     if p.shape != t.shape:
         raise ShapeError(f"pred shape {p.shape} does not match truth shape {t.shape}")
-    valid = (t != NODATA) & (p != NODATA)
-    pp = p == 1
-    tt = t == 1
-    return ConfusionCounts(
-        tp=int((valid & pp & tt).sum()),
-        fp=int((valid & pp & ~tt).sum()),
-        tn=int((valid & ~pp & ~tt).sum()),
-        fn=int((valid & ~pp & tt).sum()),
-        nodata_skipped=int((~valid).sum()),
-    )
+    return np.where((p == NODATA) | (t == NODATA), 4, 2 * (p == 1) + (t == 1))
+
+
+def confusion_counts(pred, truth) -> ConfusionCounts:
+    """Per-pixel confusion tallies of a binary prediction against truth."""
+    codes = confusion_codes(pred, truth).ravel()
+    tn, fn, fp, tp, nodata = np.bincount(codes, minlength=5).tolist()
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn, nodata_skipped=nodata)
 
 
 def _ratio(num: int, den: int) -> tuple[float, bool]:

@@ -99,9 +99,9 @@ class SiameseUNet:
 
     # -- forward passes ------------------------------------------------------
 
-    def _block(self, x: Tensor, stem: str, mode: str, padding: int = 1) -> Tensor:
+    def _block(self, x: Tensor, stem: str, mode: str) -> Tensor:
         p = self.params
-        x = conv2d(x, p[f"{stem}.conv.weight"], p[f"{stem}.conv.bias"], padding)
+        x = conv2d(x, p[f"{stem}.conv.weight"], p[f"{stem}.conv.bias"])
         x = batchnorm2d(
             x,
             p[f"{stem}.bn.gamma"],

@@ -1,11 +1,14 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: a ``Tensor`` wraps a numpy array and
-records, for every differentiable operation, a closure that scatters the
-upstream gradient back to its parents.  ``Tensor.backward`` walks the
-recorded graph once, in reverse topological order, summing contributions
-into each participating tensor's ``grad`` buffer, and consumes it: each
-closure is dropped after it runs, so a graph can be walked back only once.
+The engine is deliberately small: a ``Tensor`` wraps a numpy array, and
+every differentiable operation has one shape.  It computes its result,
+defines ``bw(g)``, a vector-Jacobian product that takes the gradient ``g``
+of that result and adds its contributions into the parents' gradients,
+and returns ``_make(data, parents, bw)``.  ``_make`` sets the result's
+``_backward`` to a zero-argument call of ``bw`` on the result's gradient.
+``Tensor.backward`` walks the recorded graph once, in reverse topological
+order, and consumes it: each ``_backward`` is dropped after it runs, so a
+graph can be walked back only once.
 
 ``conv2d`` is a shifted-tap GEMM over one zero-padded flat copy of the
 input (each kernel tap is a matmul against a contiguous slice of it), run
@@ -16,8 +19,8 @@ mirrored offsets.  ``batchnorm2d`` builds its output in place and keeps no
 normalized copy (its backward recomputes x-hat from the saved input), and
 ``maxpool2x2`` works on the four strided views of its 2x2 windows; its
 backward selects the gradient with a bit mask instead of ``np.where``.
-A backward closure hands a gradient it has just allocated to ``_accum``
-as owned, so the first contribution to a tensor is not copied.
+A ``bw`` hands a gradient it has just allocated to ``_accum`` as owned,
+so the first contribution to a tensor is not copied.
 
 Working precision is float32; every kernel is dtype-generic, so the same
 ops run in float64 for numeric gradient checking.  Image tensors use the
@@ -35,6 +38,10 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # conv2d computes this many flat output positions per column block, so
 # that a block's accumulator and tap product stay in L2 across all taps
 _BLOCK = 4096
+
+# batchnorm2d's variance offset and running-statistics update rate
+_BN_EPS = 1e-5
+_BN_MOMENTUM = 0.1
 
 # unsigned integer of each float width: maxpool2x2's backward masks bits
 _UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
@@ -147,10 +154,10 @@ class Tensor:
         """Propagate d(self)/d(tensor) to every reachable tensor.
 
         ``self`` must hold exactly one element (a scalar loss).  The pass
-        consumes the graph: each op's backward closure is dropped once it
-        has run, which frees the intermediate arrays and breaks the
-        tensor <-> closure reference cycle.  Calling ``backward`` again on
-        a consumed graph raises ``ContractError``.
+        consumes the graph: each op's ``_backward`` is dropped once it has
+        run, which frees the intermediate arrays and breaks the tensor <->
+        ``_backward`` reference cycle.  Calling ``backward`` again on a
+        consumed graph raises ``ContractError``.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -196,12 +203,13 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(arr)
 
 
-def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    """Wrap an op result, attaching the backward closure when needed."""
+def _make(data: np.ndarray, parents: tuple, bw) -> Tensor:
+    """Wrap an op result; when it needs a gradient, its ``_backward`` calls
+    ``bw`` on the output's gradient as it stands at that call."""
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires, _parents=parents if requires else ())
     if requires:
-        out._backward = backward_fn(out)
+        out._backward = lambda: bw(out.grad)
     return out
 
 
@@ -233,12 +241,9 @@ def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     data = a.data + b.data
 
-    def bw(out):
-        def run():
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
-            _accum(b, _unbroadcast(out.grad, b.data.shape))
-
-        return run
+    def bw(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), bw)
 
@@ -247,27 +252,20 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     data = a.data * b.data
 
-    def bw(out):
-        def run():
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
-
-        return run
+    def bw(g):
+        _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), bw)
 
 
 def div(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a, getattr(b, "dtype", np.float32))
     b = _as_tensor(b, a.dtype)
     data = a.data / b.data
 
-    def bw(out):
-        def run():
-            _accum(a, _unbroadcast(out.grad / b.data, a.data.shape))
-            _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-
-        return run
+    def bw(g):
+        _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(data, (a, b), bw)
 
@@ -282,12 +280,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sub requires identical shapes, got {a.shape} and {b.shape}")
     data = a.data - b.data
 
-    def bw(out):
-        def run():
-            _accum(a, out.grad)
-            _accum(b, -out.grad, owned=True)
-
-        return run
+    def bw(g):
+        _accum(a, g)
+        _accum(b, -g, owned=True)
 
     return _make(data, (a, b), bw)
 
@@ -296,11 +291,8 @@ def tsum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     data = np.asarray(x.data.sum(), dtype=x.dtype)
 
-    def bw(out):
-        def run():
-            _accum(x, np.broadcast_to(out.grad, x.data.shape))
-
-        return run
+    def bw(g):
+        _accum(x, np.broadcast_to(g, x.data.shape))
 
     return _make(data, (x,), bw)
 
@@ -308,11 +300,8 @@ def tsum(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     data = np.log(x.data)
 
-    def bw(out):
-        def run():
-            _accum(x, out.grad / x.data, owned=True)
-
-        return run
+    def bw(g):
+        _accum(x, g / x.data, owned=True)
 
     return _make(data, (x,), bw)
 
@@ -321,12 +310,9 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is 1 where the input lies inside the band."""
     data = np.clip(x.data, lo, hi)
 
-    def bw(out):
-        def run():
-            inside = ((x.data >= lo) & (x.data <= hi)).astype(x.dtype)
-            _accum(x, out.grad * inside, owned=True)
-
-        return run
+    def bw(g):
+        inside = ((x.data >= lo) & (x.data <= hi)).astype(x.dtype)
+        _accum(x, g * inside, owned=True)
 
     return _make(data, (x,), bw)
 
@@ -335,11 +321,8 @@ def relu(x: Tensor) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is 0."""
     data = np.maximum(x.data, 0)
 
-    def bw(out):
-        def run():
-            _accum(x, out.grad * (x.data > 0), owned=True)
-
-        return run
+    def bw(g):
+        _accum(x, g * (x.data > 0), owned=True)
 
     return _make(data, (x,), bw)
 
@@ -356,11 +339,8 @@ def sigmoid(x: Tensor) -> Tensor:
     data = np.where(d >= 0, 1.0, e)
     data /= e + 1.0
 
-    def bw(out):
-        def run():
-            _accum(x, out.grad * out.data * (1.0 - out.data), owned=True)
-
-        return run
+    def bw(g):
+        _accum(x, g * data * (1.0 - data), owned=True)
 
     return _make(data, (x,), bw)
 
@@ -461,29 +441,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     acc = _shifted_taps([(taps[i, j], i * wp + j) for i, j in order], flat, span)
     out_data = acc.reshape(n, cout, h, wp)[..., :w] + bias.data[None, :, None, None]
 
-    def bw(out):
-        def run():
-            g = out.grad
-            _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
-            gflat = _pad_flat(g, kh)
-            # g as Wp-wide rows: the right pad and the next row's left pad
-            # are the zero junk columns
-            start = padding * wp + padding
-            gp = gflat[:, :, start : start + span]
-            if weight.requires_grad:
-                gw = np.empty_like(weight.data)
-                for i, j in order:
-                    off = i * wp + j
-                    tap = flat[:, :, off : off + span].transpose(0, 2, 1)
-                    gw[:, :, i, j] = np.matmul(gp, tap).sum(axis=0)
-                _accum(weight, gw, owned=True)
-            if x.requires_grad:
-                k = kh - 1
-                pairs = [(taps[i, j].T, (k - i) * wp + (k - j)) for i, j in order]
-                dx = _shifted_taps(pairs, gflat, span).reshape(n, cin, h, wp)
-                _accum(x, dx[..., :w])
-
-        return run
+    def bw(g):
+        _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
+        gflat = _pad_flat(g, kh)
+        # g as Wp-wide rows: the right pad and the next row's left pad
+        # are the zero junk columns
+        start = padding * wp + padding
+        gp = gflat[:, :, start : start + span]
+        if weight.requires_grad:
+            gw = np.empty_like(weight.data)
+            for i, j in order:
+                off = i * wp + j
+                tap = flat[:, :, off : off + span].transpose(0, 2, 1)
+                gw[:, :, i, j] = np.matmul(gp, tap).sum(axis=0)
+            _accum(weight, gw, owned=True)
+        if x.requires_grad:
+            k = kh - 1
+            pairs = [(taps[i, j].T, (k - i) * wp + (k - j)) for i, j in order]
+            dx = _shifted_taps(pairs, gflat, span).reshape(n, cin, h, wp)
+            _accum(x, dx[..., :w])
 
     return _make(out_data, (x, weight, bias), bw)
 
@@ -495,8 +471,6 @@ def batchnorm2d(
     running_mean: np.ndarray | None,
     running_var: np.ndarray | None,
     mode: str,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
 ) -> Tensor:
     """Per-channel batch normalization over the N, H, W axes.
 
@@ -507,8 +481,6 @@ def batchnorm2d(
     _require_4d(x, "batchnorm2d")
     if mode not in ("train", "eval"):
         raise ConfigError(f"batchnorm2d mode must be 'train' or 'eval', got {mode!r}")
-    if eps <= 0:
-        raise ConfigError(f"batchnorm2d eps must be positive, got {eps}")
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(
@@ -525,42 +497,38 @@ def batchnorm2d(
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
         if running_mean is not None and running_var is not None:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean.astype(running_mean.dtype)
-            running_var *= 1.0 - momentum
-            running_var += momentum * var.astype(running_var.dtype)
+            running_mean *= 1.0 - _BN_MOMENTUM
+            running_mean += _BN_MOMENTUM * mean.astype(running_mean.dtype)
+            running_var *= 1.0 - _BN_MOMENTUM
+            running_var += _BN_MOMENTUM * var.astype(running_var.dtype)
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     mean4, inv4 = mean[None, :, None, None], inv[None, :, None, None]
     out_data = x.data - mean4
     out_data *= inv4
     out_data *= gamma.data[None, :, None, None]
     out_data += beta.data[None, :, None, None]
 
-    def bw(out):
-        def run():
-            g = out.grad
-            xhat = x.data - mean4
-            xhat *= inv4
-            gsum = g.sum(axis=(0, 2, 3), keepdims=True)
-            gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            _accum(gamma, gxsum.reshape(c), owned=True)
-            _accum(beta, gsum.reshape(c), owned=True)
-            if x.requires_grad:
-                scale = (gamma.data * inv)[None, :, None, None]
-                if mode == "eval":
-                    _accum(x, g * scale, owned=True)
-                else:
-                    # scale * (g - gsum / m - xhat * gxsum / m), same order, in place
-                    m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-                    dx = g - gsum / m
-                    xhat *= gxsum
-                    xhat /= m
-                    dx -= xhat
-                    dx *= scale
-                    _accum(x, dx, owned=True)
-
-        return run
+    def bw(g):
+        xhat = x.data - mean4
+        xhat *= inv4
+        gsum = g.sum(axis=(0, 2, 3), keepdims=True)
+        gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        _accum(gamma, gxsum.reshape(c), owned=True)
+        _accum(beta, gsum.reshape(c), owned=True)
+        if x.requires_grad:
+            scale = (gamma.data * inv)[None, :, None, None]
+            if mode == "eval":
+                _accum(x, g * scale, owned=True)
+            else:
+                # scale * (g - gsum / m - xhat * gxsum / m), same order, in place
+                m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+                dx = g - gsum / m
+                xhat *= gxsum
+                xhat /= m
+                dx -= xhat
+                dx *= scale
+                _accum(x, dx, owned=True)
 
     return _make(out_data, (x, gamma, beta), bw)
 
@@ -587,25 +555,21 @@ def maxpool2x2(x: Tensor) -> Tensor:
         np.maximum(d[:, :, 1::2, 0::2], d[:, :, 1::2, 1::2]),
     )
 
-    def bw(out):
-        def run():
-            g = out.grad
-            u = _UINT[g.dtype]
-            gx = np.empty_like(d)
-            taken = np.zeros(out_data.shape, dtype=bool)
-            for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):  # scan order
-                if (a, b) == (1, 1):
-                    hit = ~taken  # the rest
-                else:
-                    xq = d[:, :, a::2, b::2]
-                    hit = (xq == out_data) | np.isnan(xq)
-                    hit &= ~taken
-                    taken |= hit
-                mask = np.negative(hit, dtype=u)  # True -> all ones
-                np.bitwise_and(g.view(u), mask, out=gx.view(u)[:, :, a::2, b::2])
-            _accum(x, gx, owned=True)
-
-        return run
+    def bw(g):
+        u = _UINT[g.dtype]
+        gx = np.empty_like(d)
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):  # scan order
+            if (a, b) == (1, 1):
+                hit = ~taken  # the rest
+            else:
+                xq = d[:, :, a::2, b::2]
+                hit = (xq == out_data) | np.isnan(xq)
+                hit &= ~taken
+                taken |= hit
+            mask = np.negative(hit, dtype=u)  # True -> all ones
+            np.bitwise_and(g.view(u), mask, out=gx.view(u)[:, :, a::2, b::2])
+        _accum(x, gx, owned=True)
 
     return _make(out_data, (x,), bw)
 
@@ -642,21 +606,17 @@ def upconv2x2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             grid[:, :, :, a, :, b] = blocks[:, :, a, b]
     out_data = grid.reshape(n, cout, 2 * h, 2 * w)
 
-    def bw(out):
-        def run():
-            g = out.grad
-            _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
-            g4 = (
-                g.reshape(n, cout, h, 2, w, 2)
-                .transpose(0, 1, 3, 5, 2, 4)
-                .reshape(n, cout * 4, h * w)
-            )
-            gw = np.matmul(x3, g4.transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, gw.reshape(cin, cout, 2, 2), owned=True)
-            if x.requires_grad:
-                _accum(x, np.matmul(w4, g4).reshape(n, cin, h, w), owned=True)
-
-        return run
+    def bw(g):
+        _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
+        g4 = (
+            g.reshape(n, cout, h, 2, w, 2)
+            .transpose(0, 1, 3, 5, 2, 4)
+            .reshape(n, cout * 4, h * w)
+        )
+        gw = np.matmul(x3, g4.transpose(0, 2, 1)).sum(axis=0)
+        _accum(weight, gw.reshape(cin, cout, 2, 2), owned=True)
+        if x.requires_grad:
+            _accum(x, np.matmul(w4, g4).reshape(n, cin, h, w), owned=True)
 
     return _make(out_data, (x, weight, bias), bw)
 
@@ -674,11 +634,8 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     c1 = sa[1]
     data = np.concatenate([a.data, b.data], axis=1)
 
-    def bw(out):
-        def run():
-            _accum(a, out.grad[:, :c1])
-            _accum(b, out.grad[:, c1:])
-
-        return run
+    def bw(g):
+        _accum(a, g[:, :c1])
+        _accum(b, g[:, c1:])
 
     return _make(data, (a, b), bw)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     ShapeError,
 )
 from .losses import LossConfig, auto_pos_weight, dice_loss, weighted_bce
-from .model import ModelConfig, SiameseUNet, _allocate
+from .model import DIVISOR, ModelConfig, SiameseUNet, _allocate
 from .tensor import Tensor, no_grad
 
 CKPT_MAGIC = b"SUNC"
@@ -54,9 +55,9 @@ class TrainConfig:
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
         if self.steps < 0 or self.batch_size < 1 or self.log_every < 1:
             raise ConfigError("steps, batch_size and log_every must be positive")
-        if self.patch_size % 32:
+        if self.patch_size % DIVISOR:
             raise ConfigError(
-                f"patch_size must be a multiple of 32, got {self.patch_size}"
+                f"patch_size must be a multiple of {DIVISOR}, got {self.patch_size}"
             )
         self.loss.validate()
 
@@ -235,19 +236,23 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CKPT_VERSION:
         r.fail(f"unsupported checkpoint version {version}, expected {CKPT_VERSION}", 4)
     (hlen,) = r.unpack("I", "header length")
-    at = r.off
+    at = line_at = r.off
     header: dict[str, int] = {}
-    for line in r.text(hlen, "header").splitlines():
+    text = r.text(hlen, "header")
+    for line, whole in zip(text.splitlines(), text.splitlines(keepends=True)):
         key, _, value = line.partition("=")
         try:
             number = int(value)
         except ValueError:
-            r.fail(f"header line {line!r} is not key=integer", at)
+            r.fail(f"header line {line!r} is not key=integer", line_at)
         if key not in CKPT_HEADER_KEYS:
-            r.fail(f"unknown header key {key!r}", at)
+            r.fail(f"unknown header key {key!r}", line_at)
         if key in header:
-            r.fail(f"repeated header key {key!r}", at)
+            r.fail(f"repeated header key {key!r}", line_at)
+        if key == "step" and number < 0:
+            r.fail(f"invalid header: step must be >= 0, got {number}", line_at)
         header[key] = number
+        line_at += len(whole.encode())
     try:
         config = ModelConfig(
             in_channels=header["in_channels"], base_width=header["base_width"]
@@ -258,8 +263,6 @@ def load_checkpoint(path) -> Checkpoint:
         r.fail(f"header missing key {e}", at)
     except ConfigError as e:
         r.fail(f"invalid header: {e}", at)
-    if step < 0:
-        r.fail(f"invalid header: step must be >= 0, got {step}", at)
 
     (n_records,) = r.unpack("I", "record count")
     tensors: dict[str, np.ndarray] = {}
@@ -287,31 +290,23 @@ def load_checkpoint(path) -> Checkpoint:
 # -- training loop ------------------------------------------------------------
 
 
-class _TileSampler:
+def _tile_order(n: int, rng: np.random.Generator) -> Iterator[int]:
     """Epoch-style tile order: a seeded shuffle, reshuffled when exhausted,
     so every tile is visited equally often."""
-
-    def __init__(self, n_tiles: int, rng: np.random.Generator):
-        self.n = n_tiles
-        self.rng = rng
-        self.queue: list[int] = []
-
-    def next_index(self) -> int:
-        if not self.queue:
-            self.queue = list(self.rng.permutation(self.n))
-        return self.queue.pop(0)
+    while True:
+        yield from rng.permutation(n)
 
 
 def _assemble_batch(
     tiles: list[BitemporalTile],
     cfg: TrainConfig,
-    sampler: _TileSampler,
+    order: Iterator[int],
     rng: np.random.Generator,
 ):
     pre, post, tgt = [], [], []
     ps = cfg.patch_size
     for _ in range(cfg.batch_size):
-        tile = tiles[sampler.next_index()]
+        tile = tiles[next(order)]
         if tile.height < ps or tile.width < ps:
             raise ShapeError(
                 f"tile {tile.height}x{tile.width} smaller than patch_size {ps}"
@@ -336,14 +331,14 @@ def train(
     if not tiles:
         raise ContractError("train requires at least one tile")
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    sampler = _TileSampler(len(tiles), rng)
+    order = _tile_order(len(tiles), rng)
     params = [t for _, t in model.parameter_list()]
     state = AdamState.for_params(params)
     log = TrainLog()
     last_finite: float | None = None
 
     for step in range(1, cfg.steps + 1):
-        pre_b, post_b, tgt = _assemble_batch(tiles, cfg, sampler, rng)
+        pre_b, post_b, tgt = _assemble_batch(tiles, cfg, order, rng)
         model.zero_grad()
         probs = model.forward(Tensor(pre_b), Tensor(post_b), mode="train")
 

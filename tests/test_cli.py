@@ -451,14 +451,14 @@ class TestMalformedInputs:
         tile, path = site
         replace_once(path, b"step=3\n", b"step=x\n")
         assert predict_rc(path, tile, tmp_path) == 3
-        assert "'step=x' is not key=integer at byte 10" in capsys.readouterr().err
+        assert "'step=x' is not key=integer at byte 37" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            (b"step=3\n", b"step=-3", "step must be >= 0, got -3"),
-            (b"in_channels=2\n", b"step=3\nstep=3\n", "repeated header key 'step'"),
-            (b"step=3\n", b"stop=3\n", "unknown header key 'stop'"),
+            (b"step=3\n", b"step=-3", "step must be >= 0, got -3 at byte 37"),
+            (b"in_channels=2\n", b"step=3\nstep=3\n", "repeated header key 'step' at byte 17"),
+            (b"step=3\n", b"stop=3\n", "unknown header key 'stop' at byte 37"),
         ],
         ids=["negative_step", "repeated_key", "unknown_key"],
     )
@@ -466,7 +466,7 @@ class TestMalformedInputs:
         tile, path = site
         replace_once(path, old, new)
         assert predict_rc(path, tile, tmp_path) == 3
-        assert f"{message} at byte 10" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_non_utf8_tensor_name(self, site, tmp_path, capsys):
         tile, path = site

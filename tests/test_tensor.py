@@ -12,10 +12,12 @@ from diffnet.losses import LossConfig, hybrid_loss
 from diffnet.tensor import (
     _BLOCK,
     Tensor,
+    add,
     batchnorm2d,
     clamp,
     concat_channels,
     conv2d,
+    div,
     log,
     maxpool2x2,
     mul,
@@ -433,6 +435,57 @@ class TestBackward:
         with pytest.raises(ContractError, match="consumed"):
             mul(first, 3.0).backward()
         assert np.array_equal(x.grad, np.full((2, 2), 2.0, np.float32))
+
+
+def _f64(*shape, low=None):
+    """Seeded float64 inputs; uniform in [low, low + 1) when ``low`` is given."""
+    g = np.random.default_rng(len(shape) * 97 + sum(shape))
+    return g.standard_normal(shape) if low is None else g.random(shape) + low
+
+
+# every op as a function of Tensors only, with float64 inputs
+OP_CASES = {
+    "add": (add, [_f64(2, 3), _f64(3)]),
+    "mul": (mul, [_f64(2, 3), _f64(2, 1)]),
+    "div": (div, [_f64(2, 3), _f64(3, low=0.5)]),
+    "sub": (sub, [_f64(2, 3), _f64(2, 3, low=-1.0)]),
+    "tsum": (tsum, [_f64(3, 4)]),
+    "log": (log, [_f64(3, 4, low=0.5)]),
+    "clamp": (lambda x: clamp(x, -0.5, 0.5), [_f64(3, 4)]),
+    "relu": (relu, [_f64(3, 4)]),
+    "sigmoid": (sigmoid, [_f64(3, 4)]),
+    "conv2d": (conv2d, [_f64(2, 3, 5, 6), _f64(4, 3, 3, 3), _f64(4)]),
+    "batchnorm2d": (
+        lambda x, g, b: batchnorm2d(x, g, b, None, None, "train"),
+        [_f64(2, 3, 4, 5), _f64(3), _f64(3, low=-1.0)],
+    ),
+    "maxpool2x2": (maxpool2x2, [_f64(2, 3, 4, 6)]),
+    "upconv2x2": (upconv2x2, [_f64(2, 3, 3, 4), _f64(3, 2, 2, 2), _f64(2)]),
+    "concat_channels": (concat_channels, [_f64(2, 2, 3, 4), _f64(2, 3, 3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", OP_CASES)
+def test_backward_applies_the_op_to_the_output_gradient(name):
+    """An op's ``_backward`` reads the output gradient when called: setting
+    ``out.grad = c`` and calling it gives every input the gradient, bit for
+    bit, that ``backward()`` of the loss sum(out * c) gives."""
+    op, arrays = OP_CASES[name]
+
+    def input_grads(direct):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*inputs)
+        c = np.random.default_rng(3).standard_normal(out.shape)
+        if direct:
+            out.grad = c
+            out._backward()
+        else:
+            tsum(mul(out, c)).backward()
+        return [t.grad for t in inputs]
+
+    for got, want in zip(input_grads(True), input_grads(False), strict=True):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDeterminism:
