@@ -1,6 +1,10 @@
 """Print SHA-256 digests of outputs that a kernel change must keep bitwise.
 
-A seeded 12-step ``train`` at the acceptance config gives its TrainLog and
+First come the scene generator's outputs: one digest over the pre, post
+and mask bytes of each of three seeded scenes (the 512x512 C=8 scene that
+``predict`` scores below, a scene at the CLI defaults, and a 97x513 C=3
+scene with no blobs and no noise).  A seeded 12-step ``train`` at the
+acceptance config gives its TrainLog and
 every checkpoint tensor; the trained model's eval-mode probabilities on a
 seeded 512x512 and a 96x160 scene follow.  Then come the gradients of every
 parameter after one train-mode forward and backward of a fresh model, before
@@ -30,7 +34,23 @@ def digest(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
+SCENES = {
+    "512x512x8.seed11": (SceneParams(channels=8, size=(512, 512)), 11),
+    "128x128x64.seed0": (SceneParams(), 0),
+    "97x513x3.plain": (
+        SceneParams(
+            channels=3, size=(97, 513), n_scar_blobs=0, confuser_blobs=0, noise_sigma=0.0
+        ),
+        5,
+    ),
+}
+
+
 def main():
+    for name, (params, seed) in SCENES.items():
+        tile = generate_scene(params, seed)
+        blob = b"".join(a.tobytes() for a in (tile.pre, tile.post, tile.mask))
+        print(f"scene.{name} {hashlib.sha256(blob).hexdigest()}")
     tiles = [generate_scene(SceneParams(channels=8, size=(64, 64)), seed=s) for s in range(4)]
     model = init_model(ModelConfig(in_channels=8, base_width=8), seed=3)
     ckpt, log = train(model, tiles, TrainConfig(steps=12, batch_size=4, seed=0, log_every=1))

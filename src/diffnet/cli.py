@@ -6,7 +6,7 @@ reproduced bit-for-bit by re-running with the recorded values.
 
 Exit codes: 0 success, 2 usage error, 3 data/parse error, 4 numeric
 failure (non-finite loss).  ``DIFFNET_SEED`` overrides the default seed
-when no ``--seed`` flag is given.
+when no ``--seed`` flag is given.  Seeds are integers >= 0.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .data import (
     generate_scene,
     read_mask,
     read_tile,
+    read_tile_mask,
     write_mask,
     write_tile,
 )
@@ -73,16 +74,35 @@ _PALETTE = np.array(
 )
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``; any other value is a usage
+    error (exit 2) whose message names the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_seed = _int_at_least(0)  # PCG64 takes no negative seed
+
+
 def resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get("DIFFNET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"DIFFNET_SEED must be an integer, got {env!r}") from None
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as e:
+        raise ConfigError(f"DIFFNET_SEED: {e}") from None
 
 
 def write_manifest(
@@ -109,7 +129,7 @@ def write_manifest(
 
 def _load_any_mask(path: Path) -> np.ndarray:
     if path.suffix == ".btt":
-        return read_tile(path).mask
+        return read_tile_mask(path)
     return read_mask(path)
 
 
@@ -265,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate synthetic bitemporal tiles")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--count", type=int, default=1)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--count", type=_int_at_least(1), default=1)
+    g.add_argument("--seed", type=_seed, default=None)
     g.add_argument("--channels", type=int, default=64)
     g.add_argument("--height", type=int, default=128)
     g.add_argument("--width", type=int, default=128)
@@ -283,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="checkpoint output path")
     t.add_argument("--log-csv", default=None)
     t.add_argument("--base-width", type=int, default=32)
-    t.add_argument("--model-seed", type=int, default=0)
+    t.add_argument("--model-seed", type=_seed, default=0)
     t.add_argument("--lr", type=float, default=1e-3)
     t.add_argument("--steps", type=int, default=300)
     t.add_argument("--batch-size", type=int, default=4)
     t.add_argument("--patch-size", type=int, default=64)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_seed, default=None)
     t.add_argument("--alpha", type=float, default=0.5)
     t.add_argument("--pos-weight", default="auto")
     t.add_argument("--dice-eps", type=float, default=1.0)

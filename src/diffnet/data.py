@@ -194,18 +194,37 @@ def write_tile(tile: BitemporalTile, path) -> None:
     )
 
 
-def read_tile(path) -> BitemporalTile:
-    """Parse a BTT1 file; malformed input raises TileFormatError."""
-    r = ByteReader(path, TileFormatError)
+def _tile_header(r: ByteReader) -> tuple[int, int, int]:
+    """The magic and (C, H, W) of a BTT1 file."""
     r.magic(MAGIC)
     c, h, w = r.unpack("III", "header")
     if not (0 < c <= MAX_DIM and 0 < h <= MAX_DIM and 0 < w <= MAX_DIM):
         r.fail(f"dimension overflow: C={c}, H={h}, W={w}", 4)
+    return c, h, w
+
+
+def read_tile(path) -> BitemporalTile:
+    """Parse a BTT1 file; malformed input raises TileFormatError."""
+    r = ByteReader(path, TileFormatError)
+    c, h, w = _tile_header(r)
     pre = r.array("<f4", (c, h, w), "pre image")
     post = r.array("<f4", (c, h, w), "post image")
     mask = r.mask(h, w)
     r.end()
     return BitemporalTile(pre=pre, post=post, mask=mask)
+
+
+def read_tile_mask(path) -> np.ndarray:
+    """The mask of a BTT1 file, without copying its images.  Every check of
+    ``read_tile`` runs, so the two accept the same files with the same
+    errors."""
+    r = ByteReader(path, TileFormatError)
+    c, h, w = _tile_header(r)
+    for what in ("pre image", "post image"):
+        r.take(c * h * w * 4, what)
+    mask = r.mask(h, w)
+    r.end()
+    return mask
 
 
 def write_mask(mask: np.ndarray, path) -> None:
@@ -229,7 +248,8 @@ def read_mask(path) -> np.ndarray:
 
 
 def _value_noise(rng: np.random.Generator, h: int, w: int, cell: int) -> np.ndarray:
-    """Bilinear interpolation of a coarse random lattice (one octave)."""
+    """Bilinear interpolation of a coarse random lattice (one octave): each
+    lattice row is interpolated along x once, then pixels blend two rows."""
     gh = h // cell + 2
     gw = w // cell + 2
     grid = rng.standard_normal((gh, gw))
@@ -238,21 +258,20 @@ def _value_noise(rng: np.random.Generator, h: int, w: int, cell: int) -> np.ndar
     yi = ys.astype(int)
     xi = xs.astype(int)
     yf = (ys - yi)[:, None]
-    xf = (xs - xi)[None, :]
-    v00 = grid[np.ix_(yi, xi)]
-    v01 = grid[np.ix_(yi, xi + 1)]
-    v10 = grid[np.ix_(yi + 1, xi)]
-    v11 = grid[np.ix_(yi + 1, xi + 1)]
-    top = v00 + xf * (v01 - v00)
-    bot = v10 + xf * (v11 - v10)
-    return top + yf * (bot - top)
+    xf = xs - xi
+    g0 = grid[:, xi]
+    rows = g0 + xf * (grid[:, xi + 1] - g0)
+    step = rows[1:] - rows[:-1]
+    out = step[yi]  # filled in place: two fewer h x w temporaries
+    out *= yf
+    out += rows[yi]
+    return out
 
 
 def _smooth_field(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     """Two-octave value noise, standardized to mean 0 / std 1."""
-    field = _value_noise(rng, h, w, max(h, w) // 4) + 0.3 * _value_noise(
-        rng, h, w, max(2, max(h, w) // 16)
-    )
+    field = _value_noise(rng, h, w, max(h, w) // 4)
+    field += 0.3 * _value_noise(rng, h, w, max(2, max(h, w) // 16))
     field -= field.mean()
     std = field.std()
     if std > 1e-9:
@@ -262,7 +281,8 @@ def _smooth_field(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
 
 def _ellipse_mask(rng: np.random.Generator, h: int, w: int, area: float) -> np.ndarray:
     """One filled, rotated ellipse of roughly the requested pixel area,
-    centered away from the borders to limit clipping."""
+    centered away from the borders to limit clipping.  Only pixels in its
+    bounding box, widened by one pixel against rounding, are tested."""
     cy = rng.uniform(0.2 * h, 0.8 * h)
     cx = rng.uniform(0.2 * w, 0.8 * w)
     r = np.sqrt(max(area, 1.0) / np.pi)
@@ -270,12 +290,19 @@ def _ellipse_mask(rng: np.random.Generator, h: int, w: int, area: float) -> np.n
     a = r * np.sqrt(aspect)
     b = r / np.sqrt(aspect)
     theta = rng.uniform(0.0, np.pi)
-    yy, xx = np.mgrid[0:h, 0:w]
+    cos, sin = np.cos(theta), np.sin(theta)
+    ry = math.hypot(a * sin, b * cos) + 1
+    rx = math.hypot(a * cos, b * sin) + 1
+    y0, y1 = max(math.ceil(cy - ry), 0), min(math.floor(cy + ry) + 1, h)
+    x0, x1 = max(math.ceil(cx - rx), 0), min(math.floor(cx + rx) + 1, w)
+    yy, xx = np.ogrid[y0:y1, x0:x1]
     dy = yy - cy
     dx = xx - cx
-    u = dx * np.cos(theta) + dy * np.sin(theta)
-    v = -dx * np.sin(theta) + dy * np.cos(theta)
-    return (u / a) ** 2 + (v / b) ** 2 <= 1.0
+    u = dx * cos + dy * sin
+    v = -dx * sin + dy * cos
+    mask = np.zeros((h, w), dtype=bool)
+    mask[y0:y1, x0:x1] = (u / a) ** 2 + (v / b) ** 2 <= 1.0
+    return mask
 
 
 def _signed_offsets(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
@@ -312,7 +339,9 @@ def generate_scene(params: SceneParams, seed: int) -> BitemporalTile:
     c = params.channels
     h, w = params.size
 
-    pre = np.stack([_smooth_field(rng, h, w) for _ in range(c)]).astype(np.float32)
+    pre = np.empty((c, h, w), dtype=np.float32)
+    for k in range(c):
+        pre[k] = _smooth_field(rng, h, w)
 
     scar = np.zeros((h, w), dtype=bool)
     if params.n_scar_blobs > 0:
@@ -341,4 +370,4 @@ def generate_scene(params: SceneParams, seed: int) -> BitemporalTile:
         post += rng.normal(0.0, params.noise_sigma, size=post.shape).astype(np.float32)
 
     mask = scar.astype(np.uint8)
-    return BitemporalTile(pre=pre, post=post.astype(np.float32), mask=mask)
+    return BitemporalTile(pre=pre, post=post, mask=mask)

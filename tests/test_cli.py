@@ -14,6 +14,7 @@ from diffnet.data import (
     generate_scene,
     read_mask,
     read_tile,
+    read_tile_mask,
     write_mask,
     write_tile,
 )
@@ -88,6 +89,36 @@ class TestGen:
         out = run_gen(tmp_path, "flagged", seed=3)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["args"]["seed"] == 3
+
+    def test_negative_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DIFFNET_SEED", "-2")
+        out = tmp_path / "env"
+        assert main(["gen", "--out-dir", str(out)] + GEN_SMALL) == 2
+        assert "DIFFNET_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--seed", "-1"], "--seed"),
+        (["gen", "--count", "0"], "--count"),
+        (["gen", "--count", "-3"], "--count"),
+        (["train", "--data-dir", "tiles", "--out", "m.sunc", "--seed", "-5"], "--seed"),
+        (["train", "--data-dir", "tiles", "--out", "m.sunc", "--model-seed", "-1"],
+         "--model-seed"),
+    ],
+    ids=["gen-seed", "gen-count-0", "gen-count-negative", "train-seed", "train-model-seed"],
+)
+def test_out_of_range_seed_or_count_is_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
+    """A value that would be a PCG64 traceback or an empty run exits 2 and
+    names its flag, before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "gen":
+        argv = argv + ["--out-dir", "tiles"]
+    assert main(argv) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestTrain:
@@ -550,8 +581,9 @@ def valid_files(tmp_path_factory):
 @given(fmt=st.sampled_from(["btt", "btm", "sunc"]), data=st.data())
 def test_damaged_files_give_typed_errors_and_exit_codes(valid_files, fmt, data):
     """Mutating, truncating or extending a valid BTT1, BTM1 or SUNC file:
-    only the format's error escapes its reader, and ``main`` only ever
-    returns an exit code."""
+    only the format's error escapes its reader, a tile's mask-only reader
+    gives the same error or the same mask as ``read_tile``, and ``main``
+    only ever returns an exit code."""
     d, blobs, hot = valid_files
     blob = blobs[fmt]
     kind = data.draw(st.sampled_from(["mutate", "truncate", "extend"]))
@@ -573,11 +605,18 @@ def test_damaged_files_give_typed_errors_and_exit_codes(valid_files, fmt, data):
     reader = {"btt": read_tile, "btm": read_mask, "sunc": load_checkpoint}[fmt]
     try:
         got = reader(path)
-    except (TileFormatError, CheckpointFormatError):
-        got = None
+    except (TileFormatError, CheckpointFormatError) as e:
+        got, error = None, str(e)
     if got is not None and fmt != "sunc":  # an accepted mask holds only 0, 1, 255
         mask = got.mask if fmt == "btt" else got
         assert set(np.unique(mask)) <= {0, 1, 255}
+    if fmt == "btt":  # the mask-only reader agrees with read_tile
+        try:
+            mask_only = read_tile_mask(path)
+        except TileFormatError as e:
+            assert got is None and str(e) == error
+        else:
+            assert got is not None and np.array_equal(mask_only, got.mask)
 
     valid = {f: str(d / f"valid.{f}") for f in blobs}
     valid[fmt] = str(path)

@@ -1,5 +1,7 @@
 """Tile and mask file format round trips and scene generator soundness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from diffnet.data import (
     BitemporalTile,
     SceneParams,
+    _ellipse_mask,
     generate_scene,
     read_tile,
     write_tile,
@@ -147,3 +150,149 @@ class TestGenerateScene:
             for s in range(100)
         ]
         assert 0.075 <= float(np.mean(fracs)) <= 0.225
+
+
+# -- reference generator -------------------------------------------------------
+# The scene generator as first written: four corner gathers per value-noise
+# octave, ellipses tested on the full mgrid, the pre image stacked in float64
+# and cast.  The generator must stay bit for bit equal to it.
+
+
+def ref_value_noise(rng, h, w, cell):
+    gh = h // cell + 2
+    gw = w // cell + 2
+    grid = rng.standard_normal((gh, gw))
+    ys = np.arange(h) / cell
+    xs = np.arange(w) / cell
+    yi = ys.astype(int)
+    xi = xs.astype(int)
+    yf = (ys - yi)[:, None]
+    xf = (xs - xi)[None, :]
+    v00 = grid[np.ix_(yi, xi)]
+    v01 = grid[np.ix_(yi, xi + 1)]
+    v10 = grid[np.ix_(yi + 1, xi)]
+    v11 = grid[np.ix_(yi + 1, xi + 1)]
+    top = v00 + xf * (v01 - v00)
+    bot = v10 + xf * (v11 - v10)
+    return top + yf * (bot - top)
+
+
+def ref_smooth_field(rng, h, w):
+    field = ref_value_noise(rng, h, w, max(h, w) // 4) + 0.3 * ref_value_noise(
+        rng, h, w, max(2, max(h, w) // 16)
+    )
+    field -= field.mean()
+    std = field.std()
+    if std > 1e-9:
+        field /= std
+    return field
+
+
+def ref_ellipse_mask(rng, h, w, area):
+    cy = rng.uniform(0.2 * h, 0.8 * h)
+    cx = rng.uniform(0.2 * w, 0.8 * w)
+    r = np.sqrt(max(area, 1.0) / np.pi)
+    aspect = rng.uniform(0.6, 1.7)
+    a = r * np.sqrt(aspect)
+    b = r / np.sqrt(aspect)
+    theta = rng.uniform(0.0, np.pi)
+    yy, xx = np.mgrid[0:h, 0:w]
+    dy = yy - cy
+    dx = xx - cx
+    u = dx * np.cos(theta) + dy * np.sin(theta)
+    v = -dx * np.sin(theta) + dy * np.cos(theta)
+    return (u / a) ** 2 + (v / b) ** 2 <= 1.0
+
+
+def ref_offsets(rng, n, scale, random_sign):
+    mag = rng.uniform(0.5, 1.5, size=n) * scale
+    if random_sign:
+        sign = rng.choice((-1.0, 1.0), size=n)
+    else:
+        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return (mag * sign).astype(np.float32)
+
+
+def ref_generate_scene(params, seed):
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    c = params.channels
+    h, w = params.size
+    pre = np.stack([ref_smooth_field(rng, h, w) for _ in range(c)]).astype(np.float32)
+    scar = np.zeros((h, w), dtype=bool)
+    if params.n_scar_blobs > 0:
+        blob_area = params.burn_fraction_target * h * w / params.n_scar_blobs
+        for _ in range(params.n_scar_blobs):
+            scar |= ref_ellipse_mask(rng, h, w, blob_area)
+    drift = (rng.standard_normal(c) * params.seasonal_drift_scale).astype(np.float32)
+    burn = ref_offsets(rng, c, params.burn_offset_scale, random_sign=False)
+    post = pre + drift[:, None, None]
+    post[:, scar] += burn[:, None]
+    if params.confuser_blobs > 0:
+        n_ch = int(rng.integers(1, max(1, c // 4) + 1))
+        chans = rng.choice(c, size=n_ch, replace=False)
+        for _ in range(params.confuser_blobs):
+            area = params.burn_fraction_target * h * w / max(params.n_scar_blobs, 2)
+            blob = ref_ellipse_mask(rng, h, w, area * rng.uniform(0.4, 1.0))
+            offs = ref_offsets(rng, n_ch, params.burn_offset_scale, random_sign=True)
+            post[chans[:, None], blob] += offs[:, None]
+    if params.noise_sigma > 0:
+        post += rng.normal(0.0, params.noise_sigma, size=post.shape).astype(np.float32)
+    return pre, post.astype(np.float32), scar.astype(np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channels=st.integers(1, 8),
+    size=st.tuples(st.integers(8, 160), st.integers(8, 160)),
+    n_scar_blobs=st.integers(0, 4),
+    confuser_blobs=st.integers(0, 3),
+    burn_fraction_target=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    noise_sigma=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_generate_scene_matches_reference_bitwise(seed, **knobs):
+    """Pre, post and mask equal the reference generator's, bit for bit, for
+    any channel count, non-square size, blob count (0 included), ellipses
+    under one pixel (burn fraction 0) and noise on or off."""
+    tile = generate_scene(SceneParams(**knobs), seed)
+    pre, post, mask = ref_generate_scene(SceneParams(**knobs), seed)
+    assert tile.pre.dtype == pre.dtype and tile.post.dtype == post.dtype
+    assert np.array_equal(tile.pre, pre)
+    assert np.array_equal(tile.post, post)
+    assert np.array_equal(tile.mask, mask)
+
+
+class FixedDraws:
+    """Stands in for a Generator in ``_ellipse_mask``: each ``uniform(lo, hi)``
+    returns ``lo + t * (hi - lo)`` for the next given ``t``."""
+
+    def __init__(self, *ts):
+        self.ts = list(ts)
+
+    def uniform(self, lo, hi):
+        return lo + self.ts.pop(0) * (hi - lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    border=st.sampled_from(["top", "bottom", "left", "right"]),
+    along=st.floats(0.0, 1.0),
+    aspect=st.floats(0.0, 1.0),
+    theta=st.floats(0.0, 1.0),
+    radius=st.floats(0.4, 1.0),
+)
+def test_ellipse_mask_clipped_at_each_border_matches_reference(
+    border, along, aspect, theta, radius
+):
+    """Ellipses centered as near a border as the generator allows, and large
+    enough to cross it, equal the full-grid reference."""
+    h, w = 40, 56
+    cy, cx = {"top": (0, along), "bottom": (1, along), "left": (along, 0), "right": (along, 1)}[
+        border
+    ]
+    area = math.pi * (radius * min(h, w)) ** 2
+    got = _ellipse_mask(FixedDraws(cy, cx, aspect, theta), h, w, area)
+    want = ref_ellipse_mask(FixedDraws(cy, cx, aspect, theta), h, w, area)
+    edge = {"top": got[0], "bottom": got[-1], "left": got[:, 0], "right": got[:, -1]}[border]
+    assert edge.any()
+    assert np.array_equal(got, want)
