@@ -93,6 +93,16 @@ def _int_at_least(low: int):
 _seed = _int_at_least(0)  # PCG64 takes no negative seed
 
 
+def _pos_weight(text: str) -> str:
+    """An argparse type: ``auto`` or a finite number, kept as typed for the manifest."""
+    try:
+        if text == "auto" or np.isfinite(float(text)):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
+
+
 def resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
@@ -287,32 +297,32 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out-dir", required=True)
     g.add_argument("--count", type=_int_at_least(1), default=1)
     g.add_argument("--seed", type=_seed, default=None)
-    g.add_argument("--channels", type=int, default=64)
-    g.add_argument("--height", type=int, default=128)
-    g.add_argument("--width", type=int, default=128)
-    g.add_argument("--burn-fraction", type=float, default=0.15)
-    g.add_argument("--scar-blobs", type=int, default=3)
-    g.add_argument("--burn-offset-scale", type=float, default=1.0)
-    g.add_argument("--seasonal-drift-scale", type=float, default=0.3)
-    g.add_argument("--confuser-blobs", type=int, default=2)
-    g.add_argument("--noise-sigma", type=float, default=0.05)
+    g.add_argument("--channels", type=int, default=SceneParams.channels)
+    g.add_argument("--height", type=int, default=SceneParams.size[0])
+    g.add_argument("--width", type=int, default=SceneParams.size[1])
+    g.add_argument("--burn-fraction", type=float, default=SceneParams.burn_fraction_target)
+    g.add_argument("--scar-blobs", type=int, default=SceneParams.n_scar_blobs)
+    g.add_argument("--burn-offset-scale", type=float, default=SceneParams.burn_offset_scale)
+    g.add_argument("--seasonal-drift-scale", type=float, default=SceneParams.seasonal_drift_scale)
+    g.add_argument("--confuser-blobs", type=int, default=SceneParams.confuser_blobs)
+    g.add_argument("--noise-sigma", type=float, default=SceneParams.noise_sigma)
     g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="train a model on a directory of .btt tiles")
     t.add_argument("--data-dir", required=True)
     t.add_argument("--out", required=True, help="checkpoint output path")
     t.add_argument("--log-csv", default=None)
-    t.add_argument("--base-width", type=int, default=32)
+    t.add_argument("--base-width", type=int, default=ModelConfig.base_width)
     t.add_argument("--model-seed", type=_seed, default=0)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--steps", type=int, default=300)
-    t.add_argument("--batch-size", type=int, default=4)
-    t.add_argument("--patch-size", type=int, default=64)
+    t.add_argument("--lr", type=float, default=TrainConfig.lr)
+    t.add_argument("--steps", type=int, default=TrainConfig.steps)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--patch-size", type=int, default=TrainConfig.patch_size)
     t.add_argument("--seed", type=_seed, default=None)
-    t.add_argument("--alpha", type=float, default=0.5)
-    t.add_argument("--pos-weight", default="auto")
-    t.add_argument("--dice-eps", type=float, default=1.0)
-    t.add_argument("--log-every", type=int, default=10)
+    t.add_argument("--alpha", type=float, default=LossConfig.alpha)
+    t.add_argument("--pos-weight", type=_pos_weight, default="auto")
+    t.add_argument("--dice-eps", type=float, default=LossConfig.dice_eps)
+    t.add_argument("--log-every", type=int, default=TrainConfig.log_every)
     t.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="binarized change mask for one tile")

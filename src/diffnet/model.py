@@ -75,6 +75,15 @@ def _param_specs(config: ModelConfig):
     yield "head.bias", (1,), None
 
 
+def _buffer_specs(config: ModelConfig):
+    """Yield (name, shape) for every batch-norm running buffer, in checkpoint order."""
+    for name, shape, _ in _param_specs(config):
+        if name.endswith("bn.gamma"):
+            stem = name[: -len("gamma")]
+            yield stem + "running_mean", shape
+            yield stem + "running_var", shape
+
+
 class SiameseUNet:
     """Parameter container plus the encoder/decoder wiring.
 
@@ -162,35 +171,27 @@ class SiameseUNet:
         return sigmoid(logits)
 
 
-def _allocate(config: ModelConfig) -> SiameseUNet:
-    """Validate the config and allocate every parameter and buffer:
-    batch-norm gamma and running variance at one, everything else at zero.
-    Callers fill in the weights, so none is drawn only to be overwritten."""
-    config.validate()
-    params: dict[str, Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
-    for name, shape, _ in _param_specs(config):
-        fill = np.ones if name.endswith("bn.gamma") else np.zeros
-        params[name] = Tensor(fill(shape, dtype=np.float32), requires_grad=True)
-        if name.endswith("bn.gamma"):
-            stem = name[: -len("gamma")]
-            buffers[stem + "running_mean"] = np.zeros(shape, dtype=np.float32)
-            buffers[stem + "running_var"] = np.ones(shape, dtype=np.float32)
-    return SiameseUNet(config, params, buffers)
-
-
 def init_model(config: ModelConfig, seed: int) -> SiameseUNet:
     """Deterministically initialize from (config, seed).
 
     Conv and upconv weights draw from the He-uniform distribution
     U(-sqrt(6/fan_in), sqrt(6/fan_in)) using a PCG64 generator, in
-    canonical parameter order; biases start at zero, batch-norm gamma at
-    one and beta at zero, running stats at (0, 1).
+    canonical parameter order, and are rounded to float32; biases start at
+    zero, batch-norm gamma at one and beta at zero, running stats at (0, 1).
     """
-    model = _allocate(config)
+    config.validate()
     rng = np.random.default_rng(np.random.PCG64(seed))
+    params: dict[str, Tensor] = {}
     for name, shape, fan_in in _param_specs(config):
-        if fan_in is not None:
+        if fan_in is None:
+            data = np.full(shape, float(name.endswith("gamma")), dtype=np.float32)
+        else:  # allocated before its float64 draw; the reverse order raised peak RSS
             bound = np.sqrt(6.0 / fan_in)
-            model.params[name].data[...] = rng.uniform(-bound, bound, size=shape)
-    return model
+            data = np.empty(shape, dtype=np.float32)
+            data[...] = rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
+    buffers = {
+        name: np.full(shape, float(name.endswith("var")), dtype=np.float32)
+        for name, shape in _buffer_specs(config)
+    }
+    return SiameseUNet(config, params, buffers)

@@ -111,8 +111,8 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        if self._grad is not None:
-            self._grad[...] = 0
+        """Drop the gradient; ``grad`` reads as zeros until the next backward."""
+        self._grad = None
 
     def __repr__(self) -> str:
         return (

@@ -7,7 +7,8 @@ record count, then one record per tensor (uint32 name length, name,
 uint32 rank, uint32 dims, float32 little-endian data) covering the
 trainable parameters followed by the batch-norm running buffers, and
 finally the trainer RNG state as four little-endian uint64 words (PCG64
-state and increment, low word first).
+state and increment, low word first).  The records hold exactly the
+tensors that the header's config gives, each once and in its shape.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     ShapeError,
 )
 from .losses import LossConfig, auto_pos_weight, dice_loss, weighted_bce
-from .model import DIVISOR, ModelConfig, SiameseUNet, _allocate
+from .model import DIVISOR, ModelConfig, SiameseUNet, _buffer_specs, _param_specs
 from .tensor import Tensor, no_grad
 
 CKPT_MAGIC = b"SUNC"
@@ -55,9 +56,9 @@ class TrainConfig:
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
         if self.steps < 0 or self.batch_size < 1 or self.log_every < 1:
             raise ConfigError("steps, batch_size and log_every must be positive")
-        if self.patch_size % DIVISOR:
+        if self.patch_size < DIVISOR or self.patch_size % DIVISOR:
             raise ConfigError(
-                f"patch_size must be a multiple of {DIVISOR}, got {self.patch_size}"
+                f"patch_size must be a positive multiple of {DIVISOR}, got {self.patch_size}"
             )
         self.loss.validate()
 
@@ -142,7 +143,6 @@ class Checkpoint:
     buffers: dict[str, np.ndarray]
     step: int
     rng_words: tuple[int, int, int, int]
-    version: int = CKPT_VERSION
 
 
 def _rng_words(rng: np.random.Generator) -> tuple[int, int, int, int]:
@@ -170,36 +170,11 @@ def checkpoint_from_model(
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> SiameseUNet:
-    """A model holding copies of the checkpoint's tensors.  Nothing is
-    drawn at random: every allocated array is overwritten by the restore."""
-    model = _allocate(ckpt.config)
-    restore_model(model, ckpt)
-    return model
-
-
-def restore_model(model: SiameseUNet, ckpt: Checkpoint) -> None:
-    """Load checkpoint tensors into an existing model.  A differing config,
-    a missing or extra tensor, or a tensor of another shape is an error,
-    never a silent reshape or broadcast; on error the model is untouched."""
-    if model.config != ckpt.config:
-        raise ConfigError(
-            f"checkpoint config {ckpt.config} does not match model config {model.config}"
-        )
-    dest = {k: t.data for k, t in model.params.items()} | model.buffers
-    src = ckpt.params | ckpt.buffers
-    if set(src) != set(dest):
-        missing = sorted(set(dest) - set(src))
-        extra = sorted(set(src) - set(dest))
-        raise CheckpointFormatError(
-            f"tensor name mismatch: missing {missing}, extra {extra}"
-        )
-    for name, arr in src.items():
-        if arr.shape != dest[name].shape:
-            raise CheckpointFormatError(
-                f"tensor {name!r} has shape {arr.shape}, model expects {dest[name].shape}"
-            )
-    for name, arr in src.items():
-        dest[name][...] = arr
+    """A model holding float32 copies of the tensors, which ``load_checkpoint``
+    has checked; nothing is drawn at random or allocated to be overwritten."""
+    params = {k: Tensor(v.astype(np.float32), requires_grad=True) for k, v in ckpt.params.items()}
+    buffers = {k: v.astype(np.float32) for k, v in ckpt.buffers.items()}
+    return SiameseUNet(ckpt.config, params, buffers)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -211,7 +186,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     ).encode()
     chunks = [
         CKPT_MAGIC,
-        struct.pack("<H", ckpt.version),
+        struct.pack("<H", CKPT_VERSION),
         struct.pack("<I", len(header)),
         header,
     ]
@@ -229,7 +204,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a SUNC file; malformed input raises CheckpointFormatError."""
+    """Parse a SUNC file; malformed input, including a tensor name or shape
+    that the header's config does not give, raises CheckpointFormatError."""
     r = ByteReader(path, CheckpointFormatError)
     r.magic(CKPT_MAGIC)
     (version,) = r.unpack("H", "version")
@@ -264,24 +240,34 @@ def load_checkpoint(path) -> Checkpoint:
     except ConfigError as e:
         r.fail(f"invalid header: {e}", at)
 
+    param_shapes = {name: shape for name, shape, _ in _param_specs(config)}
+    shapes = param_shapes | dict(_buffer_specs(config))
     (n_records,) = r.unpack("I", "record count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_records):
         (nlen,) = r.unpack("I", "name length")
         at = r.off
         name = r.text(nlen, "tensor name")
+        if name not in shapes:
+            r.fail(f"unknown tensor {name!r}", at)
         if name in tensors:
             r.fail(f"duplicate tensor {name!r}", at)
         (rank,) = r.unpack("I", "rank")
         if rank > 8:
             r.fail(f"implausible rank {rank}", r.off - 4)
+        at = r.off
         dims = r.unpack(f"{rank}I", f"dims of {name!r}")
         tensors[name] = r.array("<f4", dims, f"data of {name!r}")
+        if dims != shapes[name]:
+            r.fail(f"tensor {name!r} has shape {dims}, config expects {shapes[name]}", at)
+    missing = [k for k in shapes if k not in tensors]
+    if missing:
+        r.fail(f"missing tensors {', '.join(missing)}", r.off)
     words = r.unpack("4Q", "rng state")
     r.end()
 
-    params = {k: v for k, v in tensors.items() if "running_" not in k}
-    buffers = {k: v for k, v in tensors.items() if "running_" in k}
+    params = {k: tensors[k] for k in param_shapes}
+    buffers = {k: tensors[k] for k in shapes if k not in param_shapes}
     return Checkpoint(
         config=config, params=params, buffers=buffers, step=step, rng_words=words
     )
@@ -307,10 +293,6 @@ def _assemble_batch(
     ps = cfg.patch_size
     for _ in range(cfg.batch_size):
         tile = tiles[next(order)]
-        if tile.height < ps or tile.width < ps:
-            raise ShapeError(
-                f"tile {tile.height}x{tile.width} smaller than patch_size {ps}"
-            )
         y = int(rng.integers(0, tile.height - ps + 1))
         x = int(rng.integers(0, tile.width - ps + 1))
         pre.append(tile.pre[:, y : y + ps, x : x + ps])
@@ -330,6 +312,12 @@ def train(
     cfg.validate()
     if not tiles:
         raise ContractError("train requires at least one tile")
+    c, ps = model.config.in_channels, cfg.patch_size
+    for i, tile in enumerate(tiles):
+        if tile.channels != c:
+            raise ShapeError(f"tile {i} has {tile.channels} channels, model expects {c}")
+        if tile.height < ps or tile.width < ps:
+            raise ShapeError(f"tile {i} is {tile.height}x{tile.width}, below patch_size {ps}")
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     order = _tile_order(len(tiles), rng)
     params = [t for _, t in model.parameter_list()]

@@ -2,13 +2,14 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffnet.cli import CONFUSION_COLORS, main, render_confusion
+from diffnet.cli import CONFUSION_COLORS, build_parser, main, render_confusion, write_manifest
 from diffnet.data import (
     SceneParams,
     generate_scene,
@@ -19,8 +20,10 @@ from diffnet.data import (
     write_tile,
 )
 from diffnet.errors import CheckpointFormatError, TileFormatError
+from diffnet.losses import LossConfig
 from diffnet.model import ModelConfig, init_model
 from diffnet.train import (
+    TrainConfig,
     checkpoint_from_model,
     load_checkpoint,
     model_from_checkpoint,
@@ -107,12 +110,18 @@ class TestGen:
         (["train", "--data-dir", "tiles", "--out", "m.sunc", "--seed", "-5"], "--seed"),
         (["train", "--data-dir", "tiles", "--out", "m.sunc", "--model-seed", "-1"],
          "--model-seed"),
+        (["train", "--data-dir", "tiles", "--out", "m.sunc", "--pos-weight", "abc"],
+         "--pos-weight"),
+        (["train", "--data-dir", "tiles", "--out", "m.sunc", "--pos-weight", "nan"],
+         "--pos-weight"),
     ],
-    ids=["gen-seed", "gen-count-0", "gen-count-negative", "train-seed", "train-model-seed"],
+    ids=["gen-seed", "gen-count-0", "gen-count-negative", "train-seed", "train-model-seed",
+         "train-pos-weight-abc", "train-pos-weight-nan"],
 )
 def test_out_of_range_seed_or_count_is_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
-    """A value that would be a PCG64 traceback or an empty run exits 2 and
-    names its flag, before anything is written."""
+    """A value that would be a traceback (PCG64's, or ``float``'s for a
+    ``--pos-weight``), a non-finite loss or an empty run exits 2 and names
+    its flag, before anything is written."""
     monkeypatch.chdir(tmp_path)
     if argv[0] == "gen":
         argv = argv + ["--out-dir", "tiles"]
@@ -174,6 +183,35 @@ class TestTrain:
         )
         assert rc == 4
         assert "non-finite loss at step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0", "-32"])
+    def test_non_positive_patch_size_is_usage_error(self, tmp_path, capsys, size):
+        data = run_gen(tmp_path, count=1)
+        out = tmp_path / "m.sunc"
+        rc = main(["train", "--data-dir", str(data), "--out", str(out), "--base-width", "4",
+                   "--steps", "1", "--patch-size", size])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"patch_size must be a positive multiple of 32, got {size}" in err
+        assert not out.exists()
+
+    def test_numeric_pos_weight_is_recorded_as_given(self):
+        args = build_parser().parse_args(["train", "--data-dir", "d", "--out", "m.sunc",
+                                          "--pos-weight", "2.5"])
+        assert args.pos_weight == "2.5"
+
+    def test_mixed_channel_counts_is_data_error(self, tmp_path, capsys):
+        data = run_gen(tmp_path, count=2)
+        other = tmp_path / "other"
+        assert main(["gen", "--out-dir", str(other), "--count", "1", "--channels", "3",
+                     "--height", "64", "--width", "64"]) == 0
+        (other / "tile_00000.btt").rename(data / "tile_00009.btt")
+        out = tmp_path / "m.sunc"
+        rc = main(["train", "--data-dir", str(data), "--out", str(out), "--base-width", "4",
+                   "--steps", "1", "--patch-size", "32"])
+        assert rc == 3
+        assert "tile 2 has 3 channels, model expects 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPredict:
@@ -438,6 +476,32 @@ class TestUsage:
             assert doc["subcommand"] == subcommand
             assert doc["tool_version"]
             assert doc["args"] == args
+
+
+    def test_manifest_of_required_flags_records_dataclass_defaults(self, tmp_path):
+        """Flag defaults come from the dataclasses that hold them."""
+        scene, cfg, loss = SceneParams(), TrainConfig(), LossConfig()
+        defaults = {
+            "gen": {
+                "channels": scene.channels, "height": scene.size[0], "width": scene.size[1],
+                "burn-fraction": scene.burn_fraction_target, "scar-blobs": scene.n_scar_blobs,
+                "burn-offset-scale": scene.burn_offset_scale,
+                "seasonal-drift-scale": scene.seasonal_drift_scale,
+                "confuser-blobs": scene.confuser_blobs, "noise-sigma": scene.noise_sigma,
+            },
+            "train": {
+                "base-width": ModelConfig().base_width, "lr": cfg.lr, "steps": cfg.steps,
+                "batch-size": cfg.batch_size, "patch-size": cfg.patch_size,
+                "alpha": loss.alpha, "pos-weight": "auto", "dice-eps": loss.dice_eps,
+                "log-every": cfg.log_every,
+            },
+        }
+        for argv in (["gen", "--out-dir", "tiles"], ["train", "--data-dir", "d", "--out", "m"]):
+            out = tmp_path / argv[0]
+            write_manifest(build_parser().parse_args(argv), [], [out])
+            recorded = json.loads(Path(f"{out}.manifest.json").read_text())["args"]
+            for flag, value in defaults[argv[0]].items():
+                assert recorded[flag] == value and type(recorded[flag]) is type(value), flag
 
 
 def predict_rc(ckpt, tile, tmp_path):

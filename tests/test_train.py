@@ -1,15 +1,19 @@
 """Optimizer behavior, training determinism, checkpoint round trips and
 thresholded prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from diffnet.data import SceneParams, generate_scene
+from diffnet.cli import main
+from diffnet.data import SceneParams, generate_scene, write_tile
 from diffnet.errors import (
     CheckpointFormatError,
     ConfigError,
     ContractError,
     NonFiniteLossError,
+    ShapeError,
 )
 from diffnet.model import ModelConfig, init_model
 from diffnet.tensor import Tensor
@@ -21,7 +25,6 @@ from diffnet.train import (
     load_checkpoint,
     model_from_checkpoint,
     predict,
-    restore_model,
     save_checkpoint,
     train,
 )
@@ -148,11 +151,29 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(init_model(TINY, seed=1), [], TrainConfig(steps=1))
 
+    def test_every_tile_checked_before_the_first_step(self):
+        """A tile the model cannot take fails up front, naming its index,
+        even when the first batches would never sample it."""
+        model = init_model(TINY, seed=1)
+        before = {n: t.data.copy() for n, t in model.parameter_list()}
+        cfg = TrainConfig(steps=1, batch_size=1, patch_size=32)
+        small = generate_scene(SceneParams(channels=2, size=(16, 32)), seed=0)
+        wide = generate_scene(SceneParams(channels=3, size=(32, 32)), seed=0)
+        for bad, message in ((small, "tile 4 is 16x32, below patch_size 32"),
+                             (wide, "tile 4 has 3 channels, model expects 2")):
+            with pytest.raises(ShapeError, match=message):
+                train(model, tiny_tiles() + [bad], cfg)
+        for name, t in model.parameter_list():
+            assert np.array_equal(t.data, before[name]), name
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr=-1.0).validate()
         with pytest.raises(ConfigError):
             TrainConfig(patch_size=33).validate()
+        for size in (0, -32):
+            with pytest.raises(ConfigError, match=f"positive multiple of 32, got {size}"):
+                TrainConfig(patch_size=size).validate()
 
 
 class TestCheckpoint:
@@ -265,13 +286,47 @@ class TestCheckpoint:
             assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
             assert not np.shares_memory(got[name], arr), name
 
-    def test_config_mismatch_is_error_not_reshape(self, tmp_path):
+    def test_header_config_disagreeing_with_tensors_is_format_error(self, tmp_path, capsys):
+        """A header whose base_width does not fit its tensors fails in the
+        reader at the first tensor's dims, before any model is allocated."""
+        ckpt = checkpoint_from_model(init_model(TINY, seed=0))
+        ckpt.config = ModelConfig(in_channels=2, base_width=65536)
+        path = tmp_path / "model.sunc"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        at = blob.index(b"enc1.conv.weight") + len(b"enc1.conv.weight") + 4
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                CheckpointFormatError,
+                match=rf"tensor 'enc1.conv.weight' has shape \(4, 2, 3, 3\), "
+                rf"config expects \(65536, 2, 3, 3\) at byte {at}$",
+            ):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+        tile = tmp_path / "site.btt"
+        write_tile(tiny_tiles(1)[0], tile)
+        out = tmp_path / "p.btm"
+        rc = main(["predict", "--checkpoint", str(path), "--tile", str(tile), "--out", str(out)])
+        assert rc == 3
+        assert "tensor 'enc1.conv.weight' has shape" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_tensor_name_is_format_error(self, tmp_path):
         model = init_model(TINY, seed=0)
         path = tmp_path / "model.sunc"
         save_checkpoint(checkpoint_from_model(model), path)
-        other = init_model(ModelConfig(in_channels=3, base_width=4), seed=0)
-        with pytest.raises(ConfigError):
-            restore_model(other, load_checkpoint(path))
+        blob = path.read_bytes()
+        at = blob.index(b"enc2.conv.bias")
+        path.write_bytes(blob.replace(b"enc2.conv.bias", b"enc2.conv.bias"[:-1] + b"z"))
+        with pytest.raises(
+            CheckpointFormatError, match=f"unknown tensor 'enc2.conv.biaz' at byte {at}$"
+        ):
+            load_checkpoint(path)
 
 
 class TestPredict:
