@@ -14,9 +14,20 @@ and ``diffnet render`` load it to score a seeded 64x64 site, giving the mask
 and overlay file bytes.  Run it on two commits and diff:
 
     PYTHONPATH=src python scripts/parity.py > after.txt
+
+The output opens with the machine key, ``# field: value`` lines naming the
+CPU model and the Python, numpy and BLAS versions, since float digests may
+differ across these.  ``--check FILE`` recomputes the digests, compares
+them with a saved output such as ``tests/golden/parity.txt``, names the
+first one that differs and exits 1 if any does:
+
+    PYTHONPATH=src python scripts/parity.py --check tests/golden/parity.txt
 """
 
+import argparse
 import hashlib
+import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,29 +57,30 @@ SCENES = {
 }
 
 
-def main():
+def digests():
+    """Yield (name, SHA-256 hex digest) pairs in a fixed order."""
     for name, (params, seed) in SCENES.items():
         tile = generate_scene(params, seed)
         blob = b"".join(a.tobytes() for a in (tile.pre, tile.post, tile.mask))
-        print(f"scene.{name} {hashlib.sha256(blob).hexdigest()}")
+        yield f"scene.{name}", hashlib.sha256(blob).hexdigest()
     tiles = [generate_scene(SceneParams(channels=8, size=(64, 64)), seed=s) for s in range(4)]
     model = init_model(ModelConfig(in_channels=8, base_width=8), seed=3)
     ckpt, log = train(model, tiles, TrainConfig(steps=12, batch_size=4, seed=0, log_every=1))
     rows = [(r.step, r.loss, r.bce, r.dice, r.burn_frac) for r in log.records]
-    print(f"train.log {digest(np.array(rows, dtype=np.float64))}")
+    yield "train.log", digest(np.array(rows, dtype=np.float64))
     for name, arr in {**ckpt.params, **ckpt.buffers}.items():
-        print(f"train.{name} {digest(arr)}")
+        yield f"train.{name}", digest(arr)
     for h, w in ((512, 512), (96, 160)):
         tile = generate_scene(SceneParams(channels=8, size=(h, w)), seed=11)
         with no_grad():
             probs = model.forward(Tensor(tile.pre[None]), Tensor(tile.post[None]))
-        print(f"predict.{h}x{w} {digest(probs.data)}")
+        yield f"predict.{h}x{w}", digest(probs.data)
     model = init_model(ModelConfig(in_channels=8, base_width=8), seed=3)
     pre, post = (Tensor(np.stack([getattr(t, k) for t in tiles])) for k in ("pre", "post"))
     probs = model.forward(pre, post, mode="train")
     hybrid_loss(probs, np.stack([t.mask[None] for t in tiles]), LossConfig()).backward()
     for name, param in model.parameter_list():
-        print(f"grad.{name} {digest(param.grad)}")
+        yield f"grad.{name}", digest(param.grad)
     with tempfile.TemporaryDirectory() as d:
         sunc, site, mask, ppm = (Path(d, f) for f in ("m.sunc", "site.btt", "p.btm", "o.ppm"))
         save_checkpoint(ckpt, sunc)
@@ -82,8 +94,85 @@ def main():
             if cli_main(argv) != 0:
                 raise SystemExit(f"diffnet {argv[0]} failed")
         for name, path in (("predict", mask), ("render", ppm)):
-            print(f"cli.{name}.64x64 {hashlib.sha256(path.read_bytes()).hexdigest()}")
+            yield f"cli.{name}.64x64", hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def machine_key() -> dict[str, str]:
+    cpu = platform.processor() or "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = "unknown"
+    python = "%d.%d" % sys.version_info[:2]
+    return {"cpu": cpu, "python": python, "numpy": np.__version__, "blas": blas}
+
+
+def read_saved(path) -> tuple[dict[str, str], list[tuple[str, str]]]:
+    """The machine key and the (name, digest) pairs of a saved output."""
+    key, pairs = {}, []
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("# "):
+            field, _, value = line[2:].partition(": ")
+            key[field] = value
+        elif line:
+            name, hexdigest = line.split()
+            pairs.append((name, hexdigest))
+    return key, pairs
+
+
+def key_difference(key: dict[str, str]) -> str | None:
+    """Name the first machine-key field that differs from this machine's."""
+    here = machine_key()
+    for field, value in here.items():
+        if key.get(field) != value:
+            return f"{field} is {value!r} here, {key.get(field)!r} in the saved output"
+    return None
+
+
+def first_difference(saved: list[tuple[str, str]], pairs: list[tuple[str, str]]) -> str | None:
+    for (name, hexdigest), (saved_name, saved_hex) in zip(pairs, saved):
+        if name != saved_name:
+            return f"digest {name} here where the saved output has {saved_name}"
+        if hexdigest != saved_hex:
+            return f"{name} differs: {hexdigest} here, {saved_hex} saved"
+    if len(pairs) != len(saved):
+        return f"{len(pairs)} digests here, {len(saved)} saved"
+    return None
+
+
+def check(path) -> int:
+    key, saved = read_saved(path)
+    other = key_difference(key)
+    if other:
+        print(f"parity: {path} comes from another machine: {other}", file=sys.stderr)
+    diff = first_difference(saved, list(digests()))
+    if diff:
+        print(f"parity: {diff}", file=sys.stderr)
+        return 1
+    print(f"parity: all {len(saved)} digests match {path}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE", help="compare with a saved output")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    for field, value in machine_key().items():
+        print(f"# {field}: {value}")
+    for name, hexdigest in digests():
+        print(name, hexdigest)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

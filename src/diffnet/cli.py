@@ -171,6 +171,7 @@ def cmd_gen(args) -> int:
         confuser_blobs=args.confuser_blobs,
         noise_sigma=args.noise_sigma,
     )
+    params.validate()  # before the output directory is made
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

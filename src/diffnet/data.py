@@ -97,7 +97,7 @@ class SceneParams:
         if self.n_scar_blobs < 0 or self.confuser_blobs < 0:
             raise ConfigError("blob counts must be nonnegative")
         for name in ("burn_offset_scale", "seasonal_drift_scale", "noise_sigma"):
-            if getattr(self, name) < 0:
+            if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be nonnegative")
 
 

@@ -7,6 +7,7 @@ differentiable with respect to the probability input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,9 @@ class LossConfig:
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.pos_weight is not None and self.pos_weight <= 0:
+        if self.pos_weight is not None and not 0 < self.pos_weight < math.inf:
             raise ConfigError(f"pos_weight must be positive, got {self.pos_weight}")
-        if self.dice_eps <= 0:
+        if not 0 < self.dice_eps < math.inf:
             raise ConfigError(f"dice_eps must be positive, got {self.dice_eps}")
 
 

@@ -29,6 +29,8 @@ N x C x H x W layout, row-major.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
@@ -45,6 +47,30 @@ _BN_MOMENTUM = 0.1
 
 # unsigned integer of each float width: maxpool2x2's backward masks bits
 _UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+
+# glibc's mallopt parameters.  A block above M_MMAP_THRESHOLD (128 KiB at
+# start) is a fresh mmap whose pages fault on first touch, and glibc raises
+# that threshold only after an earlier free of a bigger block, so the
+# kernels' speed would depend on what ran before.  Pinned at 32 MiB, every
+# feature map (512 KiB in training, 8 MiB for a 512x512 tile) comes from
+# warm heap; the trim threshold at 64 MiB keeps a freed train step's heap
+# for the next step instead of handing it back to the OS.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_malloc() -> None:
+    """Pin glibc's mmap and trim thresholds for the whole process; does
+    nothing where libc or its ``mallopt`` is missing."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_pin_malloc()
 
 _grad_enabled = True
 

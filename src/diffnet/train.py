@@ -14,6 +14,7 @@ tensors that the header's config gives, each once and in its shape.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ class TrainConfig:
     log_every: int = 10
 
     def validate(self) -> None:
-        if self.lr <= 0 or self.adam_eps <= 0:
+        if not (0 < self.lr < math.inf and 0 < self.adam_eps < math.inf):
             raise ConfigError("lr and adam_eps must be positive")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
@@ -354,6 +355,9 @@ def train(
             log.records.append(
                 TrainLogRecord(step, loss_val, bce.item(), dce.item(), burn)
             )
+        # backward() broke the graph's cycles, so this frees step k's graph
+        # before step k+1's forward allocates its own
+        del probs, bce, dce, total
 
     return checkpoint_from_model(model, step=cfg.steps, rng=rng), log
 

@@ -19,7 +19,7 @@ from diffnet.data import (
     write_mask,
     write_tile,
 )
-from diffnet.errors import CheckpointFormatError, TileFormatError
+from diffnet.errors import CheckpointFormatError, ConfigError, TileFormatError
 from diffnet.losses import LossConfig
 from diffnet.model import ModelConfig, init_model
 from diffnet.train import (
@@ -128,6 +128,40 @@ def test_out_of_range_seed_or_count_is_usage_error(tmp_path, monkeypatch, capsys
     assert main(argv) == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+NON_FINITE = [
+    (lambda v: TrainConfig(lr=v), ["train", "--lr"]),
+    (lambda v: TrainConfig(adam_eps=v), None),
+    (lambda v: LossConfig(dice_eps=v), ["train", "--dice-eps"]),
+    (lambda v: LossConfig(pos_weight=v), ["train", "--pos-weight"]),
+    (lambda v: SceneParams(burn_offset_scale=v), ["gen", "--burn-offset-scale"]),
+    (lambda v: SceneParams(seasonal_drift_scale=v), ["gen", "--seasonal-drift-scale"]),
+    (lambda v: SceneParams(noise_sigma=v), ["gen", "--noise-sigma"]),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "make, flag", NON_FINITE,
+    ids=["lr", "adam_eps", "dice_eps", "pos_weight", "burn_offset_scale",
+         "seasonal_drift_scale", "noise_sigma"],
+)
+def test_non_finite_setting_is_usage_error(tmp_path, make, flag, value):
+    """Every comparison with NaN is false, so each range check is written
+    to pass only a finite value in range; the CLI exits 2 and writes nothing."""
+    with pytest.raises(ConfigError):
+        make(float(value)).validate()
+    if flag is None:
+        return
+    if flag[0] == "gen":
+        argv = flag + [value, "--out-dir", str(tmp_path / "out")] + GEN_SMALL
+    else:
+        data = run_gen(tmp_path, count=1)
+        argv = flag + [value, "--data-dir", str(data), "--out", str(tmp_path / "m.sunc"),
+                       "--base-width", "4", "--steps", "1", "--patch-size", "32"]
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists() and not list(tmp_path.glob("m.sunc*"))
 
 
 class TestTrain:

@@ -1,5 +1,6 @@
 """Forward semantics and shape contracts of the autodiff primitives."""
 
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from diffnet.errors import ContractError, ShapeError
 from diffnet.losses import LossConfig, hybrid_loss
 from diffnet.tensor import (
     _BLOCK,
+    _pin_malloc,
     Tensor,
     add,
     batchnorm2d,
@@ -655,3 +657,13 @@ def test_batchnorm2d_forward_holds_about_one_output(rng, mode):
     with no_grad():
         out, peak = traced_peak(lambda: batchnorm2d(x, gamma, beta, rmean, rvar, mode))
     assert peak <= out.data.nbytes + SLACK
+
+
+def test_pin_malloc_does_nothing_without_libc_or_mallopt(monkeypatch):
+    def no_libc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert _pin_malloc() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+    assert _pin_malloc() is None

@@ -1,7 +1,9 @@
 """Optimizer behavior, training determinism, checkpoint round trips and
 thresholded prediction."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from diffnet.errors import (
     NonFiniteLossError,
     ShapeError,
 )
-from diffnet.model import ModelConfig, init_model
+from diffnet.model import ModelConfig, SiameseUNet, init_model
 from diffnet.tensor import Tensor
 from diffnet.train import (
     AdamState,
@@ -165,6 +167,45 @@ class TestTrainLoop:
                 train(model, tiny_tiles() + [bad], cfg)
         for name, t in model.parameter_list():
             assert np.array_equal(t.data, before[name]), name
+
+    def test_each_step_frees_the_previous_graph(self, monkeypatch):
+        """Step k's graph, its output included, is gone by the time step
+        k+1's forward starts.  The cyclic collector is off, so only the
+        references that train() drops can free it."""
+        outputs, alive = [], []
+        forward = SiameseUNet.forward
+
+        def tracking(self, *args, **kwargs):
+            alive.append([ref() is not None for ref in outputs])
+            out = forward(self, *args, **kwargs)
+            outputs.append(weakref.ref(out.data))  # Tensor has no __weakref__ slot
+            return out
+
+        monkeypatch.setattr(SiameseUNet, "forward", tracking)
+        cfg = TrainConfig(steps=3, batch_size=2, patch_size=32)
+        gc.disable()
+        try:
+            train(init_model(TINY, seed=1), tiny_tiles(), cfg)
+        finally:
+            gc.enable()
+        assert alive == [[], [False], [False, False]]
+
+    def test_traced_peak_at_the_acceptance_config(self):
+        """A second 4-step train() at the acceptance config (C=8, 64x64,
+        base_width 8, batch 4) peaks below 25 MiB traced; holding the
+        previous step's graph through the next forward took 35.9 MiB."""
+        params = SceneParams(channels=8, size=(64, 64))
+        tiles = [generate_scene(params, seed=s) for s in range(8)]
+        model = init_model(ModelConfig(in_channels=8, base_width=8), seed=0)
+        cfg = TrainConfig(steps=4, batch_size=4)
+        train(model, tiles, cfg)
+        tracemalloc.start()
+        try:
+            train(model, tiles, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 << 20, f"{peak / 2**20:.1f} MiB"
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
