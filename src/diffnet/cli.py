@@ -12,6 +12,7 @@ when no ``--seed`` flag is given.  Seeds are integers >= 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -26,7 +27,6 @@ from .data import (
     generate_scene,
     read_mask,
     read_tile,
-    read_tile_mask,
     write_mask,
     write_tile,
 )
@@ -139,7 +139,8 @@ def write_manifest(
 
 def _load_any_mask(path: Path) -> np.ndarray:
     if path.suffix == ".btt":
-        return read_tile_mask(path)
+        # A copy, so the mask does not keep the whole tile's buffer alive.
+        return read_tile(path).mask.copy()
     return read_mask(path)
 
 
@@ -232,11 +233,6 @@ def cmd_predict(args) -> int:
     _require_finite(ckpt.params | ckpt.buffers, args.checkpoint, CheckpointFormatError)
     tile = read_tile(args.tile)
     _require_finite({"pre": tile.pre, "post": tile.post}, args.tile, TileFormatError)
-    if tile.channels != ckpt.config.in_channels:
-        raise ConfigError(
-            f"channel mismatch: tile has {tile.channels} channels, "
-            f"checkpoint expects {ckpt.config.in_channels}"
-        )
     model = model_from_checkpoint(ckpt)
     mask = predict(model, tile, threshold=args.threshold)
     out = Path(args.out)
@@ -262,10 +258,11 @@ def cmd_eval(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["site," + ",".join(METRIC_NAMES)]
-    for site, m in rows + [("mean", mean_set), ("std", std_set)]:
-        lines.append(site + "," + ",".join(f"{v:.6f}" for v in m.as_tuple()))
-    out.write_text("\n".join(lines) + "\n")
+    with open(out, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["site", *METRIC_NAMES])
+        for site, m in rows + [("mean", mean_set), ("std", std_set)]:
+            writer.writerow([site, *(f"{v:.6f}" for v in m.as_tuple())])
     write_manifest(args, args.pred + args.truth, [out])
     return EXIT_OK
 

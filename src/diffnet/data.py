@@ -106,7 +106,8 @@ class SceneParams:
 
 class ByteReader:
     """Bounded cursor over the bytes of one file, shared by the BTT1, BTM1
-    and SUNC readers.
+    and SUNC readers.  The file is read once into one writable buffer, and
+    every array is a view of it.
 
     Every read checks the remaining length before it slices or allocates,
     so a corrupt length or dimension field cannot ask for more memory than
@@ -115,8 +116,7 @@ class ByteReader:
     """
 
     def __init__(self, path, error: type[ValueError]):
-        with open(path, "rb") as f:
-            self.view = memoryview(f.read())
+        self.view = memoryview(np.fromfile(path, np.uint8))
         self.off = 0
         self.error = error
 
@@ -144,11 +144,11 @@ class ByteReader:
         return layout.unpack(self.take(layout.size, what))
 
     def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """A row-major array copied out of the file; the byte count is an
-        exact integer product, so huge dims cannot wrap around."""
+        """A row-major view of the file's bytes; the byte count is an exact
+        integer product, so huge dims cannot wrap around."""
         dtype = np.dtype(dtype)
         data = self.take(math.prod(shape) * dtype.itemsize, what)
-        return np.frombuffer(data, dtype).reshape(shape).copy()
+        return np.frombuffer(data, dtype).reshape(shape)
 
     def text(self, n: int, what: str) -> str:
         start = self.off
@@ -194,37 +194,18 @@ def write_tile(tile: BitemporalTile, path) -> None:
     )
 
 
-def _tile_header(r: ByteReader) -> tuple[int, int, int]:
-    """The magic and (C, H, W) of a BTT1 file."""
+def read_tile(path) -> BitemporalTile:
+    """Parse a BTT1 file; malformed input raises TileFormatError."""
+    r = ByteReader(path, TileFormatError)
     r.magic(MAGIC)
     c, h, w = r.unpack("III", "header")
     if not (0 < c <= MAX_DIM and 0 < h <= MAX_DIM and 0 < w <= MAX_DIM):
         r.fail(f"dimension overflow: C={c}, H={h}, W={w}", 4)
-    return c, h, w
-
-
-def read_tile(path) -> BitemporalTile:
-    """Parse a BTT1 file; malformed input raises TileFormatError."""
-    r = ByteReader(path, TileFormatError)
-    c, h, w = _tile_header(r)
     pre = r.array("<f4", (c, h, w), "pre image")
     post = r.array("<f4", (c, h, w), "post image")
     mask = r.mask(h, w)
     r.end()
     return BitemporalTile(pre=pre, post=post, mask=mask)
-
-
-def read_tile_mask(path) -> np.ndarray:
-    """The mask of a BTT1 file, without copying its images.  Every check of
-    ``read_tile`` runs, so the two accept the same files with the same
-    errors."""
-    r = ByteReader(path, TileFormatError)
-    c, h, w = _tile_header(r)
-    for what in ("pre image", "post image"):
-        r.take(c * h * w * 4, what)
-    mask = r.mask(h, w)
-    r.end()
-    return mask
 
 
 def write_mask(mask: np.ndarray, path) -> None:

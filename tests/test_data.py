@@ -16,6 +16,9 @@ from diffnet.data import (
     write_tile,
 )
 from diffnet.errors import TileFormatError
+from diffnet.model import ModelConfig, init_model
+from diffnet.train import checkpoint_from_model, load_checkpoint, save_checkpoint
+from test_tensor import SLACK, traced_peak
 
 
 def make_tile(seed, c=2, h=4, w=4):
@@ -89,6 +92,20 @@ def test_tile_round_trip_property(tmp_path_factory, c, h, w, seed):
     assert np.array_equal(tile.pre, back.pre)
     assert np.array_equal(tile.post, back.post)
     assert np.array_equal(tile.mask, back.mask)
+
+
+def test_each_file_is_read_once(tmp_path):
+    """A reader holds one buffer of the file's size, and its arrays are
+    views of it, not copies."""
+    tile_path, ckpt_path = tmp_path / "t.btt", tmp_path / "m.sunc"
+    write_tile(make_tile(0, c=64, h=128, w=128), tile_path)
+    save_checkpoint(
+        checkpoint_from_model(init_model(ModelConfig(in_channels=8, base_width=8), 0)),
+        ckpt_path,
+    )
+    for reader, path in ((read_tile, tile_path), (load_checkpoint, ckpt_path)):
+        _, peak = traced_peak(lambda: reader(path))
+        assert peak <= path.stat().st_size + SLACK, reader.__name__
 
 
 class TestGenerateScene:
