@@ -172,8 +172,9 @@ class ByteReader:
 
 
 def write_atomic(path, chunks) -> None:
-    """Write the byte chunks whole-file atomically: a temp file beside
-    ``path``, then a rename, so no reader ever sees a partial file."""
+    """Write the chunks whole-file atomically: a temp file beside ``path``,
+    then a rename, so no reader ever sees a partial file.  A chunk is
+    ``bytes`` or a C-contiguous array, written through its buffer."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         f.writelines(chunks)
@@ -187,9 +188,9 @@ def write_tile(tile: BitemporalTile, path) -> None:
         path,
         (
             HEADER.pack(MAGIC, c, h, w),
-            tile.pre.astype("<f4", copy=False).tobytes(),
-            tile.post.astype("<f4", copy=False).tobytes(),
-            tile.mask.tobytes(),
+            np.ascontiguousarray(tile.pre, dtype="<f4"),
+            np.ascontiguousarray(tile.post, dtype="<f4"),
+            np.ascontiguousarray(tile.mask),
         ),
     )
 
@@ -212,7 +213,7 @@ def write_mask(mask: np.ndarray, path) -> None:
     """Serialize an H x W mask as BTM1; the write is whole-file atomic."""
     m = np.ascontiguousarray(mask, dtype=np.uint8)
     h, w = m.shape
-    write_atomic(path, (MASK_MAGIC, struct.pack("<II", h, w), m.tobytes()))
+    write_atomic(path, (MASK_MAGIC, struct.pack("<II", h, w), m))
 
 
 def read_mask(path) -> np.ndarray:
@@ -348,7 +349,10 @@ def generate_scene(params: SceneParams, seed: int) -> BitemporalTile:
             post[chans[:, None], blob] += offs[:, None]
 
     if params.noise_sigma > 0:
-        post += rng.normal(0.0, params.noise_sigma, size=post.shape).astype(np.float32)
+        # one channel at a time: the same stream as one (C, H, W) draw,
+        # holding one float64 plane instead of the whole image
+        for band in post:
+            band += rng.normal(0.0, params.noise_sigma, size=band.shape).astype(np.float32)
 
     mask = scar.astype(np.uint8)
     return BitemporalTile(pre=pre, post=post, mask=mask)

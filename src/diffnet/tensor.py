@@ -12,13 +12,15 @@ graph can be walked back only once.
 
 ``conv2d`` is a shifted-tap GEMM over one zero-padded flat copy of the
 input (each kernel tap is a matmul against a contiguous slice of it), run
-over column blocks of ``_BLOCK`` output positions so that each block's
-working set stays in cache.  Its input gradient runs on the same blocked
-loop over the zero-padded output gradient, with the transposed taps at
-mirrored offsets.  ``batchnorm2d`` builds its output in place and keeps no
-normalized copy (its backward recomputes x-hat from the saved input), and
-``maxpool2x2`` works on the four strided views of its 2x2 windows; its
-backward selects the gradient with a bit mask instead of ``np.where``.
+over blocks of whole output rows, about ``_BLOCK`` positions each, so that
+each block's working set stays in cache; each block is cropped into the
+result as soon as its taps are summed.  Its input gradient runs on the
+same blocked loop over the zero-padded output gradient, with the
+transposed taps at mirrored offsets.  ``batchnorm2d`` builds its output in
+place and keeps no normalized copy (its backward recomputes x-hat from the
+saved input), and ``maxpool2x2`` pools the column pairs of every row
+before it pools pairs of those half-width rows; its backward selects the
+gradient with a bit mask instead of ``np.where``.
 A ``bw`` hands a gradient it has just allocated to ``_accum`` as owned,
 so the first contribution to a tensor is not copied.
 
@@ -37,8 +39,9 @@ from .errors import ConfigError, ContractError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# conv2d computes this many flat output positions per column block, so
-# that a block's accumulator and tap product stay in L2 across all taps
+# conv2d computes about this many flat output positions per block of
+# rows, so that a block's accumulator and tap product stay in L2 across
+# all taps
 _BLOCK = 4096
 
 # batchnorm2d's variance offset and running-statistics update rate
@@ -392,28 +395,45 @@ def _pad_flat(x: np.ndarray, k: int) -> np.ndarray:
     return flat
 
 
-def _shifted_taps(pairs: list, flat: np.ndarray, span: int) -> np.ndarray:
-    """Sum ``tap @ flat[:, :, off : off + span]`` over the (tap, off) pairs
-    into a new (N, rows, span) array, one column block at a time.
+def _shifted_taps(pairs: list, flat: np.ndarray, h: int, w: int, wp: int, bias=None) -> np.ndarray:
+    """Sum ``tap @ flat[:, :, off : off + h * wp]`` over the (tap, off)
+    pairs, read as H rows of Wp columns, and return each row's first W
+    columns, plus ``bias`` per output channel when given, as a new
+    (N, rows, H, W) array.
 
-    The span splits into near-equal blocks of ``_BLOCK`` to ``2 * _BLOCK``
-    positions (one block when there are fewer), and every pair is summed
-    into a block, in the order given, before the next block starts; so the
-    result does not depend on the blocking.
+    The H rows split into near-equal blocks of whole rows, of about
+    ``_BLOCK`` to ``2 * _BLOCK`` positions (one block when there are fewer).
+    Every pair is summed into a block, in the order given, before the next
+    block starts, so the sum does not depend on the blocking.  Each block's
+    first W columns are then copied into the result and the bias is added
+    to them in place, which is bitwise ``sum[..., :w] + bias``; the Wp-wide
+    sum never exists at full size.
     """
     (tap0, off0), rest = pairs[0], pairs[1:]
     n, rows = flat.shape[0], tap0.shape[0]
-    nb = max(1, span // _BLOCK)
-    bounds = [span * b // nb for b in range(nb + 1)]
-    acc = np.empty((n, rows, span), dtype=np.result_type(tap0, flat))
-    tmp = np.empty(n * rows * -(-span // nb), dtype=acc.dtype)
-    for c0, c1 in zip(bounds, bounds[1:]):
-        blk = acc[:, :, c0:c1]
+    nb = max(1, min(h, h * wp // _BLOCK))
+    bounds = [h * b // nb for b in range(nb + 1)]
+    dtype = np.result_type(tap0, flat)
+    shape = (n, rows, h, w)
+    out_dtype = dtype if bias is None else np.result_type(dtype, bias)
+    acc = np.empty(n * rows * -(-h // nb) * wp, dtype=dtype)
+    tmp = np.empty_like(acc)
+    out = np.empty(shape, dtype=out_dtype) if nb > 1 else None
+    for r0, r1 in zip(bounds, bounds[1:]):
+        c0, c1 = r0 * wp, r1 * wp
+        blk = acc[: n * rows * (c1 - c0)].reshape(n, rows, c1 - c0)
         np.matmul(tap0, flat[:, :, off0 + c0 : off0 + c1], out=blk)
-        t = tmp[: n * rows * (c1 - c0)].reshape(n, rows, c1 - c0)
+        t = tmp[: blk.size].reshape(blk.shape)
         for tap, off in rest:
             blk += np.matmul(tap, flat[:, :, off + c0 : off + c1], out=t)
-    return acc
+        if out is None:  # one block: free the tap scratch before the result
+            tmp = t = None
+            out = np.empty(shape, dtype=out_dtype)
+        dst = out[:, :, r0:r1]
+        dst[...] = blk.reshape(n, rows, r1 - r0, wp)[..., :w]
+        if bias is not None:
+            dst += bias[None, :, None, None]
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
@@ -426,9 +446,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     Shifted-tap GEMM: the input is padded once into flat planes of width
     Wp = W + 2p.  Tap (i, j) of every output row is then the contiguous
     slice at offset i*Wp + j, so each tap is one matmul of W[:, :, i, j]
-    against a view, with no im2col copy.  Rows are computed Wp wide and
-    the Wp - W junk columns are cropped.  The taps are summed in the
-    order (0, 0) ... (k-1, k-1), one column block at a time
+    against a view, with no im2col copy.  Rows are computed Wp wide, one
+    block of whole rows at a time, and the taps are summed in the order
+    (0, 0) ... (k-1, k-1); each finished block is cropped of its Wp - W
+    junk columns into the output, and the bias added there
     (``_shifted_taps``).
 
     The input gradient is the correlation of the output gradient with the
@@ -464,8 +485,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     order = [(i, j) for i in range(kh) for j in range(kw)]
     flat = _pad_flat(x.data, kh)
     taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (k, k, O, C)
-    acc = _shifted_taps([(taps[i, j], i * wp + j) for i, j in order], flat, span)
-    out_data = acc.reshape(n, cout, h, wp)[..., :w] + bias.data[None, :, None, None]
+    pairs = [(taps[i, j], i * wp + j) for i, j in order]
+    out_data = _shifted_taps(pairs, flat, h, w, wp, bias.data)
 
     def bw(g):
         _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
@@ -484,8 +505,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
         if x.requires_grad:
             k = kh - 1
             pairs = [(taps[i, j].T, (k - i) * wp + (k - j)) for i, j in order]
-            dx = _shifted_taps(pairs, gflat, span).reshape(n, cin, h, wp)
-            _accum(x, dx[..., :w])
+            _accum(x, _shifted_taps(pairs, gflat, h, w, wp), owned=True)
 
     return _make(out_data, (x, weight, bias), bw)
 
@@ -519,9 +539,13 @@ def batchnorm2d(
             raise ConfigError("batchnorm2d eval mode requires running statistics")
         mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
+        buf = None
     else:
+        # np.var's own steps, bit for bit, without its second mean: square
+        # x - mean in place and average it; the output then reuses buf
         mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        buf = x.data - mean[None, :, None, None]
+        var = np.square(buf, out=buf).mean(axis=(0, 2, 3))
         if running_mean is not None and running_var is not None:
             running_mean *= 1.0 - _BN_MOMENTUM
             running_mean += _BN_MOMENTUM * mean.astype(running_mean.dtype)
@@ -530,7 +554,7 @@ def batchnorm2d(
 
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     mean4, inv4 = mean[None, :, None, None], inv[None, :, None, None]
-    out_data = x.data - mean4
+    out_data = np.subtract(x.data, mean4, out=buf)
     out_data *= inv4
     out_data *= gamma.data[None, :, None, None]
     out_data += beta.data[None, :, None, None]
@@ -563,9 +587,14 @@ def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2; gradient routes to the first argmax in
     scan order within each window.
 
-    The four window positions are strided views ``x[:, :, a::2, b::2]``;
-    the forward is their elementwise maximum.  A NaN in a window makes the
-    output NaN, and the gradient then goes to the window's first NaN.
+    The forward first takes the maximum of each row's column pairs, over
+    every row, then the maximum of those half-width rows in pairs, which
+    reads whole rows: bit for bit ``max(max(x00, x01), max(x10, x11))``
+    over the four window positions ``x[:, :, a::2, b::2]``, down to the
+    sign of a zero and the payload of a NaN.  (Pooling row pairs first
+    would pick the other zero when only x01 and x10 tie at the maximum.)
+    A NaN in a window makes the output NaN, and the gradient then goes to
+    the window's first NaN.
 
     The backward writes ``g & mask`` straight into each window position's
     strided view of the input gradient, the mask being all ones where that
@@ -576,10 +605,8 @@ def maxpool2x2(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 requires even H and W, got {h}x{w}")
     d = x.data
-    out_data = np.maximum(
-        np.maximum(d[:, :, 0::2, 0::2], d[:, :, 0::2, 1::2]),
-        np.maximum(d[:, :, 1::2, 0::2], d[:, :, 1::2, 1::2]),
-    )
+    cols = np.maximum(d[..., 0::2], d[..., 1::2])
+    out_data = np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
 
     def bw(g):
         u = _UINT[g.dtype]

@@ -199,7 +199,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         chunks.append(nb)
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f4", copy=False).tobytes())
+        chunks.append(np.ascontiguousarray(arr, dtype="<f4"))
     chunks.append(struct.pack("<4Q", *ckpt.rng_words))
     write_atomic(path, chunks)
 

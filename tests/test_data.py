@@ -1,5 +1,6 @@
 """Tile and mask file format round trips and scene generator soundness."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffnet import data
 from diffnet.data import (
     BitemporalTile,
     SceneParams,
@@ -108,6 +110,32 @@ def test_each_file_is_read_once(tmp_path):
         assert peak <= path.stat().st_size + SLACK, reader.__name__
 
 
+def test_writes_hand_arrays_over_uncopied(tmp_path, monkeypatch):
+    """``write_tile`` and ``save_checkpoint`` pass their arrays to
+    ``write_atomic`` as buffers: the files are byte for byte those written
+    from ``tobytes()`` copies, and a write allocates almost nothing."""
+    tile = make_tile(0, c=64, h=128, w=128)
+    ckpt = checkpoint_from_model(init_model(ModelConfig(in_channels=8, base_width=8), 0))
+    train_module = importlib.import_module("diffnet.train")  # diffnet.train is the function
+    writes = ((write_tile, tile, data), (save_checkpoint, ckpt, train_module))
+    write_atomic = data.write_atomic
+    for write, obj, module in writes:
+        path = tmp_path / write.__name__
+        _, peak = traced_peak(lambda: write(obj, path))
+        assert peak <= SLACK, write.__name__
+        copied = tmp_path / f"{write.__name__}.copied"
+        with monkeypatch.context() as m:
+            m.setattr(
+                module,
+                "write_atomic",
+                lambda p, chunks: write_atomic(
+                    p, [c if isinstance(c, bytes) else c.tobytes() for c in chunks]
+                ),
+            )
+            write(obj, copied)
+        assert path.read_bytes() == copied.read_bytes(), write.__name__
+
+
 class TestGenerateScene:
     def test_no_blobs_means_empty_mask(self):
         params = SceneParams(channels=2, size=(32, 32), n_scar_blobs=0)
@@ -159,6 +187,14 @@ class TestGenerateScene:
         unlabeled = (tile.mask == 0) & (n_changed > 0)
         assert unlabeled.any()
         assert n_changed[unlabeled].max() <= 2
+
+    def test_noise_is_drawn_one_channel_at_a_time(self):
+        """A scene's traced peak is its own bytes plus a few float64
+        planes, not a float64 draw of the whole post image."""
+        c, h, w = 8, 256, 256
+        tile, peak = traced_peak(lambda: generate_scene(SceneParams(channels=c, size=(h, w)), 3))
+        own = tile.pre.nbytes + tile.post.nbytes + tile.mask.nbytes
+        assert peak <= own + 3 * h * w * 8 + SLACK
 
     def test_mean_burn_fraction_tracks_target(self):
         params = SceneParams(channels=2, size=(64, 64), burn_fraction_target=0.15)

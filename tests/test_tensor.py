@@ -1,6 +1,7 @@
 """Forward semantics and shape contracts of the autodiff primitives."""
 
 import ctypes
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -181,6 +182,30 @@ def pool_and_grad(x, g):
     return out.data, t.grad
 
 
+def four_view_max(d):
+    """The pooling forward as first written: the maximum of the four strided
+    views of the 2x2 windows, paired within each row."""
+    return np.maximum(
+        np.maximum(d[:, :, 0::2, 0::2], d[:, :, 0::2, 1::2]),
+        np.maximum(d[:, :, 1::2, 0::2], d[:, :, 1::2, 1::2]),
+    )
+
+
+def pool_specials(dtype, uint):
+    """Values whose maximum depends on argument order: both zeros, and NaNs
+    that differ in payload or sign."""
+    bits = np.iinfo(uint).bits
+    nans = [
+        np.array((0x7FF << (bits - 12)) | 0x2345, uint),
+        np.array((0x7FF << (bits - 12)) | 0x11, uint),
+        np.array(((1 << bits) - 1) ^ 0xF, uint),
+    ]
+    return np.array([-1.0, -0.0, 0.0, 1.0], dtype), np.array(nans).view(dtype)
+
+
+FLOAT_UINT = [(np.float32, np.uint32), (np.float64, np.uint64)]
+
+
 class TestMaxPool:
     def test_window_max(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32))
@@ -261,6 +286,31 @@ class TestMaxPool:
         out._backward()
         assert t.grad.dtype == dtype
         assert t.grad.tobytes() == argmax_route(x, up)[1].tobytes()
+
+    @pytest.mark.parametrize("dtype, uint", FLOAT_UINT)
+    def test_forward_is_the_four_view_maximum_for_every_window(self, dtype, uint):
+        """Every 2x2 window over {-1, -0, +0, 1} and three distinct NaNs
+        pools byte for byte as the four-view formula: the zero's sign and
+        the NaN's payload are those of the same operand."""
+        numbers, nans = pool_specials(dtype, uint)
+        values = np.concatenate([numbers, nans])
+        x = np.array(list(itertools.product(values, repeat=4)), dtype).reshape(1, -1, 2, 2)
+        assert maxpool2x2(Tensor(x)).data.tobytes() == four_view_max(x).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2), c=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5),
+        with_nans=st.booleans(), kind=st.sampled_from(FLOAT_UINT), seed=st.integers(0, 10_000),
+    )
+    def test_forward_matches_the_four_view_maximum_bitwise(self, n, c, h, w, with_nans, kind, seed):
+        """Maps of ties, signed zeros and NaN windows: pooling column pairs
+        first, then row pairs, gives the four-view formula's bytes."""
+        numbers, nans = pool_specials(*kind)
+        values = np.concatenate([numbers, nans]) if with_nans else numbers
+        x = np.random.default_rng(seed).choice(values, (n, c, 2 * h, 2 * w))
+        out = maxpool2x2(Tensor(x)).data
+        assert out.dtype == x.dtype
+        assert out.tobytes() == four_view_max(x).tobytes()
 
 
 class TestUpconv:
@@ -584,8 +634,11 @@ def naive_conv2d(x, w, b, g):
 )
 @example(n=2, cin=3, cout=5, h=4, w=7, k=3, seed=0)
 @example(n=3, cin=4, cout=2, h=6, w=3, k=1, seed=1)
-@example(n=2, cin=3, cout=5, h=96, w=90, k=3, seed=2)  # H*(W+2) >= 2*_BLOCK: column blocks
+@example(n=2, cin=3, cout=5, h=96, w=90, k=3, seed=2)  # H*(W+2) >= 2*_BLOCK: row blocks
 @example(n=2, cin=3, cout=5, h=96, w=90, k=1, seed=3)
+@example(n=1, cin=2, cout=3, h=97, w=90, k=3, seed=4)  # rows split 48 + 49
+@example(n=1, cin=2, cout=3, h=2, w=4200, k=3, seed=5)  # short and wide: one row per block
+@example(n=1, cin=2, cout=3, h=1, w=9000, k=3, seed=6)  # more blocks' worth than rows
 def test_conv2d_matches_naive_reference(n, cin, cout, h, w, k, seed):
     g = np.random.default_rng(seed)
     x = g.standard_normal((n, cin, h, w))
@@ -619,17 +672,24 @@ def traced_peak(fn):
 SLACK = 64 * 1024  # small arrays and Python objects
 
 
+def block_bytes(n, c, h, w, k):
+    """Bytes of one of ``_shifted_taps``'s two block buffers: the largest
+    block of whole rows, Wp wide, over ``c`` channels."""
+    wp = w + k - 1
+    nb = max(1, min(h, h * wp // _BLOCK))
+    return n * c * -(-h // nb) * wp * 4
+
+
 def test_conv2d_forward_holds_one_block_of_temporaries(rng):
+    """Padded input, output and two block buffers: no Wp-wide sum exists
+    at full size."""
     n, c, h, w = 1, 8, 256, 256
     x, wt, b = Tensor(randn(rng, n, c, h, w)), Tensor(randn(rng, c, c, 3, 3)), Tensor(randn(rng, c))
     with no_grad():
         out, peak = traced_peak(lambda: conv2d(x, wt, b))
-    span = h * (w + 2)
-    block = -(-span // (span // _BLOCK))
     padded = n * c * ((h + 2) * (w + 2) + 2) * 4
-    acc = n * c * span * 4
-    assert span >= 2 * _BLOCK
-    assert peak <= padded + acc + out.data.nbytes + n * c * block * 4 + SLACK
+    assert h * (w + 2) >= 2 * _BLOCK
+    assert peak <= padded + out.data.nbytes + 2 * block_bytes(n, c, h, w, 3) + SLACK
 
 
 def test_conv2d_input_gradient_holds_one_block_of_temporaries(rng):
@@ -641,12 +701,9 @@ def test_conv2d_input_gradient_holds_one_block_of_temporaries(rng):
     out = conv2d(x, wt, b)
     out.grad = randn(rng, n, c, h, w)
     _, peak = traced_peak(out._backward)
-    span = h * (w + 2)
-    block = -(-span // (span // _BLOCK))
     padded = n * c * ((h + 2) * (w + 2) + 2) * 4
-    acc = n * c * span * 4
-    assert span >= 2 * _BLOCK
-    assert peak <= padded + acc + n * c * block * 4 + x.grad.nbytes + SLACK
+    assert h * (w + 2) >= 2 * _BLOCK
+    assert peak <= padded + x.grad.nbytes + 2 * block_bytes(n, c, h, w, 3) + SLACK
 
 
 @pytest.mark.parametrize("mode", ["eval", "train"])
