@@ -210,29 +210,24 @@ def cmd_train(args) -> int:
     ckpt, log = train(model, tiles, cfg)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(ckpt, out)
     args.log_csv = args.log_csv or f"{args.out}.log.csv"
     log_csv = Path(args.log_csv)
+    for path in (out, log_csv):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(ckpt, out)
     log.to_csv(log_csv)
     write_manifest(args, tile_paths, [out, log_csv])
     return EXIT_OK
 
 
-def _require_finite(arrays: dict, path, error: type[ValueError]) -> None:
-    """Refuse NaN/Inf inputs: they would flow through the model into an
-    all-zero mask instead of an error."""
-    for name, arr in arrays.items():
+def cmd_predict(args) -> int:
+    ckpt = load_checkpoint(args.checkpoint)  # refuses NaN/Inf tensors itself
+    tile = read_tile(args.tile)
+    # a NaN or Inf in the images would come out as an all-zero mask
+    for name, arr in (("pre", tile.pre), ("post", tile.post)):
         bad = arr.size - np.count_nonzero(np.isfinite(arr))
         if bad:
-            raise error(f"{path}: {name} holds {bad} non-finite value(s)")
-
-
-def cmd_predict(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    _require_finite(ckpt.params | ckpt.buffers, args.checkpoint, CheckpointFormatError)
-    tile = read_tile(args.tile)
-    _require_finite({"pre": tile.pre, "post": tile.post}, args.tile, TileFormatError)
+            raise TileFormatError(f"{args.tile}: {name} holds {bad} non-finite value(s)")
     model = model_from_checkpoint(ckpt)
     mask = predict(model, tile, threshold=args.threshold)
     out = Path(args.out)

@@ -143,6 +143,14 @@ class ByteReader:
         layout = struct.Struct("<" + fmt)
         return layout.unpack(self.take(layout.size, what))
 
+    def dims(self, names: str) -> tuple[int, ...]:
+        """One uint32 per letter of ``names``, each in 1..MAX_DIM."""
+        dims = self.unpack("I" * len(names), "header")
+        if not all(0 < d <= MAX_DIM for d in dims):
+            shown = ", ".join(f"{n}={d}" for n, d in zip(names, dims))
+            self.fail(f"dimension zero or overflow: {shown}", self.off - 4 * len(dims))
+        return dims
+
     def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
         """A row-major view of the file's bytes; the byte count is an exact
         integer product, so huge dims cannot wrap around."""
@@ -199,9 +207,7 @@ def read_tile(path) -> BitemporalTile:
     """Parse a BTT1 file; malformed input raises TileFormatError."""
     r = ByteReader(path, TileFormatError)
     r.magic(MAGIC)
-    c, h, w = r.unpack("III", "header")
-    if not (0 < c <= MAX_DIM and 0 < h <= MAX_DIM and 0 < w <= MAX_DIM):
-        r.fail(f"dimension overflow: C={c}, H={h}, W={w}", 4)
+    c, h, w = r.dims("CHW")
     pre = r.array("<f4", (c, h, w), "pre image")
     post = r.array("<f4", (c, h, w), "post image")
     mask = r.mask(h, w)
@@ -220,7 +226,7 @@ def read_mask(path) -> np.ndarray:
     """Parse a BTM1 file; malformed input raises TileFormatError."""
     r = ByteReader(path, TileFormatError)
     r.magic(MASK_MAGIC)
-    h, w = r.unpack("II", "mask header")
+    h, w = r.dims("HW")
     mask = r.mask(h, w)
     r.end()
     return mask

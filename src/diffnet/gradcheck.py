@@ -12,8 +12,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
 from .tensor import Tensor, mul, tsum
+
+_EPS = 1e-5  # central-difference step
+_ABS_FLOOR = 1e-4  # above the difference noise, ~1e-16 * |f| / _EPS
 
 
 @dataclass(frozen=True)
@@ -27,21 +29,16 @@ def gradcheck(
     op_name: str,
     fn: Callable[..., Tensor],
     inputs: Sequence[np.ndarray],
-    eps: float = 1e-5,
-    abs_floor: float = 1e-4,
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic gradients of ``fn`` against central differences.
 
     ``fn`` maps Tensors to a Tensor of any shape; ``inputs`` are the arrays
-    to differentiate with respect to (evaluated in float64).  The relative
-    error per element is |ga - gn| / max(|ga|, |gn|, abs_floor); the floor
-    sits above the central-difference noise (about 1e-16 * |f| / eps, so
-    ~1e-9 absolute here), which would otherwise swamp near-zero gradients.
+    to differentiate with respect to (evaluated in float64).  Each element
+    is moved by +-``_EPS``; its relative error is |ga - gn| / max(|ga|, |gn|,
+    ``_ABS_FLOOR``), whose floor keeps the central-difference noise (~1e-9
+    absolute here) from swamping near-zero gradients.
     """
-    if not (1e-6 <= eps <= 1e-3):
-        raise ConfigError(f"gradcheck eps must lie in [1e-6, 1e-3], got {eps}")
-
     arrays = [np.asarray(a, dtype=np.float64) for a in inputs]
 
     # fixed cotangent so the scalar projection is identical across evals
@@ -59,14 +56,14 @@ def gradcheck(
         flat = base.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + eps
+            flat[j] = orig + _EPS
             f_plus = float((fn(*[Tensor(a) for a in arrays]).data * cotangent).sum())
-            flat[j] = orig - eps
+            flat[j] = orig - _EPS
             f_minus = float((fn(*[Tensor(a) for a in arrays]).data * cotangent).sum())
             flat[j] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * _EPS)
             ga = analytic[i].reshape(-1)[j]
-            rel = abs(ga - numeric) / max(abs(ga), abs(numeric), abs_floor)
+            rel = abs(ga - numeric) / max(abs(ga), abs(numeric), _ABS_FLOOR)
             max_rel = max(max_rel, rel)
             n_checked += 1
 

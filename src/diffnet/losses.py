@@ -92,13 +92,9 @@ def dice_loss(probs: Tensor, target, eps: float = 1.0) -> Tensor:
 
 
 def hybrid_loss(probs: Tensor, target, cfg: LossConfig) -> Tensor:
-    """alpha * weighted_bce + (1 - alpha) * dice_loss (Dice-only and
-    BCE-only at the alpha boundaries)."""
+    """alpha * weighted_bce + (1 - alpha) * dice_loss, both built at every
+    alpha: the ops, in the order, of ``train.train``, so equal bit for bit."""
     cfg.validate()
-    if cfg.alpha == 0.0:
-        return dice_loss(probs, target, cfg.dice_eps)
     w = cfg.pos_weight if cfg.pos_weight is not None else auto_pos_weight(target)
     bce = weighted_bce(probs, target, w)
-    if cfg.alpha == 1.0:
-        return bce
     return cfg.alpha * bce + (1.0 - cfg.alpha) * dice_loss(probs, target, cfg.dice_eps)

@@ -167,7 +167,7 @@ class SiameseUNet:
             x = concat_channels(x, deltas[l - 1])
             x = self._block(x, f"dec{l}", mode)
         x = upconv2x2(x, p["final_up.weight"], p["final_up.bias"])
-        logits = conv2d(x, p["head.weight"], p["head.bias"], padding=0)
+        logits = conv2d(x, p["head.weight"], p["head.bias"])
         return sigmoid(logits)
 
 

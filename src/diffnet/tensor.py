@@ -436,12 +436,12 @@ def _shifted_taps(pairs: list, flat: np.ndarray, h: int, w: int, wp: int, bias=N
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
-    """2-D convolution (cross-correlation), stride 1, zero padding.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """2-D convolution (cross-correlation), stride 1, same-size output.
 
-    ``weight`` is (C_out, C_in, KH, KW) with a square odd kernel; the 3x3
-    kernel with padding 1 preserves spatial size, the 1x1 prediction-head
-    kernel uses padding 0.
+    ``weight`` is (C_out, C_in, k, k) with a square odd kernel, and the input
+    is zero-padded by p = (k - 1) // 2 on each side: 1 for the 3x3 block
+    kernels, 0 for the 1x1 prediction head.
 
     Shifted-tap GEMM: the input is padded once into flat planes of width
     Wp = W + 2p.  Tap (i, j) of every output row is then the contiguous
@@ -471,15 +471,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
         )
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
-    if padding != (kh - 1) // 2:
-        raise ConfigError(
-            f"conv2d supports same-size output only: kernel {kh}x{kw} needs "
-            f"padding {(kh - 1) // 2}, got {padding}"
-        )
     if bias.data.shape != (cout,):
         raise ShapeError(
             f"conv2d bias shape {bias.shape} does not match {cout} output channels"
         )
+    padding = (kh - 1) // 2
     wp = w + 2 * padding
     span = h * wp
     order = [(i, j) for i in range(kh) for j in range(kw)]

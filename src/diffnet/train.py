@@ -8,7 +8,7 @@ uint32 rank, uint32 dims, float32 little-endian data) covering the
 trainable parameters followed by the batch-norm running buffers, and
 finally the trainer RNG state as four little-endian uint64 words (PCG64
 state and increment, low word first).  The records hold exactly the
-tensors that the header's config gives, each once and in its shape.
+tensors that the header's config gives, each once, in its shape and finite.
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse a SUNC file; malformed input, including a tensor name or shape
-    that the header's config does not give, raises CheckpointFormatError."""
+    that the header's config does not give, or a NaN or Inf in a tensor,
+    raises CheckpointFormatError."""
     r = ByteReader(path, CheckpointFormatError)
     r.magic(CKPT_MAGIC)
     (version,) = r.unpack("H", "version")
@@ -258,9 +259,15 @@ def load_checkpoint(path) -> Checkpoint:
             r.fail(f"implausible rank {rank}", r.off - 4)
         at = r.off
         dims = r.unpack(f"{rank}I", f"dims of {name!r}")
-        tensors[name] = r.array("<f4", dims, f"data of {name!r}")
+        data = r.array("<f4", dims, f"data of {name!r}")
         if dims != shapes[name]:
             r.fail(f"tensor {name!r} has shape {dims}, config expects {shapes[name]}", at)
+        # min and max carry any NaN or Inf out, with no full-size mask
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+            bad = np.flatnonzero(~np.isfinite(data))
+            at = r.off - data.nbytes + 4 * int(bad[0])
+            r.fail(f"{name} holds {bad.size} non-finite value(s), the first", at)
+        tensors[name] = data
     missing = [k for k in shapes if k not in tensors]
     if missing:
         r.fail(f"missing tensors {', '.join(missing)}", r.off)

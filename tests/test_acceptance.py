@@ -81,7 +81,7 @@ def test_criterion_1_gradient_correctness():
         g = np.random.default_rng(1000 + seed)
         return [g.standard_normal(s) for s in shapes]
 
-    check("conv2d", lambda x, w, b: conv2d(x, w, b, 1),
+    check("conv2d", conv2d,
           lambda s: draw(s, (1, 2, 5, 5), (2, 2, 3, 3), (2,)))
     check("batchnorm2d", lambda x, g, b: batchnorm2d(x, g, b, None, None, "train"),
           lambda s: draw(s, (2, 3, 4, 4), (3,), (3,)))

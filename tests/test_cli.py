@@ -173,6 +173,14 @@ class TestTrain:
         assert log.read_text().splitlines()[0] == "step,loss,bce,dice,burn_frac"
         assert (ckpt.parent / (ckpt.name + ".manifest.json")).exists()
 
+    def test_log_csv_directory_is_made(self, tmp_path):
+        data = run_gen(tmp_path, count=1)
+        log_csv = tmp_path / "logs" / "run.csv"
+        ckpt = run_train(tmp_path, data, steps=1, extra=["--log-csv", str(log_csv)])
+        assert log_csv.read_text().splitlines()[0] == "step,loss,bce,dice,burn_frac"
+        manifest = json.loads(Path(f"{ckpt}.manifest.json").read_text())
+        assert manifest["outputs"] == [str(ckpt), str(log_csv)]
+
     def test_no_tiles_is_usage_error_naming_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -648,6 +656,16 @@ class TestMalformedInputs:
         assert predict_rc(path, tile, tmp_path) == 3
         assert "enc2.conv.weight holds 1 non-finite value(s)" in capsys.readouterr().err
         assert not (tmp_path / "p.btm").exists()
+
+    @pytest.mark.parametrize("subcommand", ["eval", "render"])
+    def test_zero_size_mask_rejected(self, tmp_path, capsys, subcommand):
+        mask = tmp_path / "empty.btm"
+        mask.write_bytes(b"BTM1" + struct.pack("<II", 0, 5))
+        out = tmp_path / "out"
+        rc = main([subcommand, "--pred", str(mask), "--truth", str(mask), "--out", str(out)])
+        assert rc == 3
+        assert "H=0, W=5 at byte 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mask_byte_outside_domain(self, tmp_path, capsys):
         tile = run_gen(tmp_path, count=1) / "tile_00000.btt"

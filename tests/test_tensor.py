@@ -61,7 +61,7 @@ class TestConv2d:
     def test_one_by_one_kernel(self, rng):
         x = Tensor(randn(rng, 1, 3, 4, 4))
         w = Tensor(randn(rng, 2, 3, 1, 1))
-        out = conv2d(x, w, Tensor(np.zeros(2, np.float32)), padding=0)
+        out = conv2d(x, w, Tensor(np.zeros(2, np.float32)))
         expected = np.einsum("nchw,oc->nohw", x.data, w.data[:, :, 0, 0])
         assert out.shape == (1, 2, 4, 4)
         np.testing.assert_allclose(out.data, expected, rtol=1e-5)
@@ -646,7 +646,7 @@ def test_conv2d_matches_naive_reference(n, cin, cout, h, w, k, seed):
     b = g.standard_normal(cout)
     up = g.standard_normal((n, cout, h, w))
     tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
-    out = conv2d(tx, tw, tb, padding=(k - 1) // 2)
+    out = conv2d(tx, tw, tb)
     tsum(mul(out, up)).backward()
     ref_out, ref_gw, ref_gb, ref_gx = naive_conv2d(x, wt, b, up)
     for got, ref in ((out.data, ref_out), (tw.grad, ref_gw), (tb.grad, ref_gb), (tx.grad, ref_gx)):

@@ -2,6 +2,7 @@
 thresholded prediction."""
 
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -17,11 +18,14 @@ from diffnet.errors import (
     NonFiniteLossError,
     ShapeError,
 )
+from diffnet.losses import LossConfig, auto_pos_weight, dice_loss, hybrid_loss, weighted_bce
 from diffnet.model import ModelConfig, SiameseUNet, init_model
 from diffnet.tensor import Tensor
 from diffnet.train import (
     AdamState,
     TrainConfig,
+    _assemble_batch,
+    _tile_order,
     adam_step,
     checkpoint_from_model,
     load_checkpoint,
@@ -120,6 +124,34 @@ class TestTrainLoop:
         cfg = TrainConfig(steps=40, batch_size=2, patch_size=32, seed=0, log_every=40)
         _, log = train(model, tiny_tiles(), cfg)
         assert log.records[-1].loss < log.records[0].loss
+
+    @pytest.mark.parametrize("pos_weight", [None, 3.0], ids=["auto", "3.0"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_step_is_a_hybrid_loss_step_bitwise(self, alpha, pos_weight):
+        """One ``train`` step equals a hand step on ``hybrid_loss``: the
+        logged loss, bce and dice and every checkpoint tensor, bit for bit."""
+        loss_cfg = LossConfig(alpha=alpha, pos_weight=pos_weight)
+        cfg = TrainConfig(steps=1, batch_size=2, patch_size=32, seed=4, loss=loss_cfg)
+        tiles = tiny_tiles()
+        ckpt, log = train(init_model(TINY, seed=1), tiles, cfg)
+
+        model = init_model(TINY, seed=1)
+        rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+        pre, post, tgt = _assemble_batch(tiles, cfg, _tile_order(len(tiles), rng), rng)
+        probs = model.forward(Tensor(pre), Tensor(post), mode="train")
+        total = hybrid_loss(probs, tgt, loss_cfg)
+        total.backward()
+        params = [t for _, t in model.parameter_list()]
+        adam_step(params, [p.grad for p in params], AdamState.for_params(params), cfg)
+
+        w = pos_weight if pos_weight is not None else auto_pos_weight(tgt)
+        want = (total.item(), weighted_bce(probs, tgt, w).item(), dice_loss(probs, tgt).item())
+        (rec,) = log.records
+        assert np.array([rec.loss, rec.bce, rec.dice]).tobytes() == np.array(want).tobytes()
+        hand = checkpoint_from_model(model, step=1, rng=rng)
+        assert ckpt.rng_words == hand.rng_words
+        for name, arr in (hand.params | hand.buffers).items():
+            assert (ckpt.params | ckpt.buffers)[name].tobytes() == arr.tobytes(), name
 
     def test_non_finite_loss_aborts_with_step(self):
         model = init_model(TINY, seed=1)
@@ -356,6 +388,32 @@ class TestCheckpoint:
         assert rc == 3
         assert "tensor 'enc1.conv.weight' has shape" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, where, value",
+        [
+            ("head.bias", 0, np.nan),
+            ("enc2.conv.weight", (1, 0, 2, 1), np.inf),
+            ("enc3.bn.running_var", 2, -np.inf),
+        ],
+    )
+    def test_non_finite_tensor_is_format_error(self, tmp_path, name, where, value):
+        """A NaN or Inf is refused when the checkpoint is loaded, naming the
+        tensor, its count and the byte of the first one; a model built from
+        it would turn every pixel into a 0."""
+        ckpt = checkpoint_from_model(init_model(TINY, seed=0))
+        arr = (ckpt.params | ckpt.buffers)[name]
+        arr[where] = value
+        arr.reshape(-1)[-1] = np.nan
+        path = tmp_path / "model.sunc"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        bad = np.flatnonzero(~np.isfinite(arr))
+        at = blob.index(name.encode()) + len(name) + 4 + 4 * arr.ndim + 4 * int(bad[0])
+        assert not np.isfinite(np.frombuffer(blob, "<f4", 1, at))
+        message = f"{name} holds {bad.size} non-finite value(s), the first at byte {at}"
+        with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+            load_checkpoint(path)
 
     def test_unknown_tensor_name_is_format_error(self, tmp_path):
         model = init_model(TINY, seed=0)
