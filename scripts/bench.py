@@ -12,7 +12,10 @@ time, and writes:
   failed run-level check such as train's "loss did not fall");
 - the median, q1 and q3 over the seeds of each end-to-end metric, and
   each seed's values;
-- the traced run's per-layer metrics.
+- the traced run's per-layer metrics;
+- one tier-1 run (``pytest --durations=0`` with ``src/`` on the path):
+  its test outcomes, its seconds, and the seconds of acceptance criteria
+  4 and 8, which take most of it.
 
 A seed whose every op fails is reported and left out of the statistics:
 for some predict-512 seeds too few pixels are decisive for the mask check
@@ -22,7 +25,8 @@ Then it prints the diff against the newest ``BENCH_<m>.json`` with m < n
 beside the output.  It flags each end-to-end metric whose median worsened
 by more than its ``BENCHMARK.json`` bound, a larger share of failed ops,
 more runs that are not correct, and records taken over other seeds or run
-lengths.  perfbench and BENCHMARK.json are only read.
+lengths, and it prints both tier-1 runs.  perfbench and BENCHMARK.json
+are only read.
 
 Given several checkouts, such as a parent and a change, it runs them in
 turns and writes one record for each, so that the machine's slow spells
@@ -39,6 +43,7 @@ a checkout:
 import argparse
 import datetime
 import json
+import os
 import re
 import subprocess
 import sys
@@ -50,6 +55,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (741, 742, 743)
 # per-layer metrics that moved by at least this share are listed in a diff
 LAYER_SHOWN = 0.10
+# the tier-1 tests whose durations a record keeps
+CRITERIA = {
+    "criterion_4_s": "test_acceptance.py::test_criterion_4_overfit_smoke",
+    "criterion_8_s": "test_acceptance.py::test_criterion_8_generalization_across_regimes",
+}
 
 NOTES = (
     "The checkout directory alone moves predict-512 peak_rss_mib by about "
@@ -78,6 +88,35 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
     details = json.loads(lines[-2])["details"]
     result = json.loads(lines[-1])
     return {"details": details, "result": result}
+
+
+def tier1_summary(out: str) -> dict:
+    """Test outcomes and seconds of a ``pytest --durations`` run, and the
+    seconds of each of ``CRITERIA`` (None where not found), from its
+    output."""
+    summaries = [
+        m for line in out.splitlines()
+        if (m := re.fullmatch(r"=*\s*((?:\d+ \w+,? ?)+) in ([\d.]+)s\b.*", line.strip()))
+    ]
+    record = {"outcomes": {}, "seconds": None}
+    if summaries:
+        counts, seconds = summaries[-1].groups()
+        record["outcomes"] = {w: int(n) for n, w in re.findall(r"(\d+) (\w+)", counts)}
+        record["seconds"] = float(seconds)
+    for key, test in CRITERIA.items():
+        m = re.search(rf"^([\d.]+)s call\s+\S*{re.escape(test)}$", out, re.M)
+        record[key] = float(m.group(1)) if m else None
+    return record
+
+
+def run_tier1(root: Path) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0",
+           "--continue-on-collection-errors"]
+    print(f"$ {' '.join(cmd[1:])}  (in {root})", file=sys.stderr, flush=True)
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    return tier1_summary(proc.stdout)
 
 
 def quartiles(values: list) -> dict:
@@ -138,6 +177,8 @@ def measure(roots: list, bench: dict) -> list:
         for _ in roots
     ]
     turns = [[(i + k) % len(roots) for k in range(len(roots))] for i in range(len(seeds) + 1)]
+    for k in turns[0]:
+        records[k]["tier1"] = run_tier1(roots[k])
     for workload in (w["name"] for w in bench["workloads"]):
         runs = [[] for _ in roots]
         for seed, order in zip(seeds, turns):
@@ -172,6 +213,7 @@ def diff(old: dict, new: dict, bench: dict) -> int:
         if old.get(key) != new.get(key):
             print(f"FLAG: {key} differ: {old.get(key)} -> {new.get(key)}")
             flags += 1
+    diff_tier1(old.get("tier1"), new.get("tier1"))
     for workload, w in new["workloads"].items():
         o = old["workloads"].get(workload)
         if o is None:
@@ -211,6 +253,18 @@ def diff(old: dict, new: dict, bench: dict) -> int:
     for note in NOTES:
         print(f"- {note}")
     return flags
+
+
+def diff_tier1(old: dict | None, new: dict | None) -> None:
+    """Print the tier-1 outcomes and seconds of both records."""
+    if old is None or new is None:
+        print("tier-1: not in both records")
+        return
+    a, b = (", ".join(f"{n} {w}" for w, n in t["outcomes"].items()) or "no summary" for t in (old, new))
+    print(f"tier-1: {a} -> {b}")
+    for key in ("seconds", *CRITERIA):
+        a, b = ("?" if t[key] is None else f"{t[key]:.1f}" for t in (old, new))
+        print(f"  {key.removesuffix('_s')}: {a} -> {b} s")
 
 
 def previous(out: Path) -> Path | None:

@@ -112,16 +112,18 @@ class ByteReader:
     Every read checks the remaining length before it slices or allocates,
     so a corrupt length or dimension field cannot ask for more memory than
     the file holds.  Every failure raises ``error``, the format's own
-    exception type, naming the byte offset of the problem.
+    exception type, as ``"<path>: <message> at byte <offset>"``, so a
+    command over many files names the bad one.
     """
 
     def __init__(self, path, error: type[ValueError]):
         self.view = memoryview(np.fromfile(path, np.uint8))
         self.off = 0
+        self.path = path
         self.error = error
 
     def fail(self, message: str, at: int) -> NoReturn:
-        raise self.error(f"{message} at byte {at}")
+        raise self.error(f"{self.path}: {message} at byte {at}")
 
     def take(self, n: int, what: str) -> memoryview:
         if self.off + n > len(self.view):

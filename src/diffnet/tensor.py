@@ -7,8 +7,12 @@ of that result and adds its contributions into the parents' gradients,
 and returns ``_make(data, parents, bw)``.  ``_make`` sets the result's
 ``_backward`` to a zero-argument call of ``bw`` on the result's gradient.
 ``Tensor.backward`` walks the recorded graph once, in reverse topological
-order, and consumes it: each ``_backward`` is dropped after it runs, so a
-graph can be walked back only once.
+order, and consumes it: once a node's ``_backward`` has run, the node
+drops its parents and its ``_backward`` becomes ``_consumed``, which
+raises.  Reference counting then frees each intermediate tensor, with its
+gradient and the arrays its op saved, as soon as the ops that consume it
+have run back, unless the caller still holds it; so the backward's peak
+stays close to the forward's.  A graph can be walked back only once.
 
 ``conv2d`` is a shifted-tap GEMM over one zero-padded flat copy of the
 input (each kernel tap is a matmul against a contiguous slice of it), run
@@ -183,10 +187,16 @@ class Tensor:
         """Propagate d(self)/d(tensor) to every reachable tensor.
 
         ``self`` must hold exactly one element (a scalar loss).  The pass
-        consumes the graph: each op's ``_backward`` is dropped once it has
-        run, which frees the intermediate arrays and breaks the tensor <->
-        ``_backward`` reference cycle.  Calling ``backward`` again on a
-        consumed graph raises ``ContractError``.
+        consumes the graph: once an op's ``_backward`` has run, its output
+        drops its parents and its ``_backward`` becomes ``_consumed``.  That
+        breaks the tensor <-> ``_backward`` reference cycle, and the walk
+        pops each node off its list, so an intermediate that the caller
+        does not hold is freed, with its gradient and the arrays its op
+        saved, as soon as the ops that consume it have run back.  Leaves
+        and the tensors the caller holds keep their data and gradients.
+        Calling ``backward`` again on a consumed graph, or on a loss built
+        on a consumed tensor, raises ``ContractError`` before any gradient
+        moves.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -196,13 +206,21 @@ class Tensor:
             raise ContractError("loss is not connected to any differentiable tensor")
 
         order = _topo_order(self)
-        if any(node._parents and node._backward is None for node in order):
-            raise ContractError("graph already consumed by an earlier backward()")
+        # an op's output always has parents until a backward consumes it
+        if any(node._backward is not None and not node._parents for node in order):
+            _consumed()
         _accum(self, np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward()
-                node._backward = None
+                node._backward = _consumed
+                node._parents = ()
+
+
+def _consumed() -> None:
+    """The ``_backward`` of an op output whose backward has already run."""
+    raise ContractError("graph already consumed by an earlier backward()")
 
 
 def _topo_order(root: Tensor) -> list:
@@ -499,7 +517,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 gw[:, :, i, j] = np.matmul(gp, tap).sum(axis=0)
             _accum(weight, gw, owned=True)
         if x.requires_grad:
+            # the taps again, not kept from the forward: a closure holding
+            # them would keep a copy of every weight alive per call
             k = kh - 1
+            taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
             pairs = [(taps[i, j].T, (k - i) * wp + (k - j)) for i, j in order]
             _accum(x, _shifted_taps(pairs, gflat, h, w, wp), owned=True)
 

@@ -362,9 +362,9 @@ def train(
             log.records.append(
                 TrainLogRecord(step, loss_val, bce.item(), dce.item(), burn)
             )
-        # backward() broke the graph's cycles, so this frees step k's graph
-        # before step k+1's forward allocates its own
-        del probs, bce, dce, total
+        # backward() has freed the graph, but not the output that this
+        # frame holds: drop it before step k+1's forward allocates its own
+        del probs
 
     return checkpoint_from_model(model, step=cfg.steps, rng=rng), log
 

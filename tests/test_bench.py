@@ -75,3 +75,49 @@ def test_a_median_beyond_its_bound_is_flagged(bench, capsys):
     new["workloads"]["train"]["end_to_end"]["throughput"]["median"] = 1.0 - 2 * m["bound"]
     assert bench.diff(record(), new, BENCH) == 1
     assert "FLAG: worse than the bound" in capsys.readouterr().out
+
+
+DURATIONS = """\
+........................................................................ [ 98%]
+.......                                                                  [100%]
+============================= slowest durations ==============================
+17.03s call     tests/test_acceptance.py::test_criterion_8_generalization_across_regimes
+11.90s call     tests/test_acceptance.py::test_criterion_4_overfit_smoke
+1.90s call     tests/test_cli.py::test_damaged_files_give_typed_errors_and_exit_codes
+0.01s setup    tests/test_acceptance.py::test_criterion_4_overfit_smoke
+
+(1160 durations < 0.005s hidden.  Use -vv to show these durations.)
+"""
+
+
+@pytest.mark.parametrize(
+    "summary, outcomes, seconds",
+    [
+        ("367 passed in 43.56s", {"passed": 367}, 43.56),
+        ("2 failed, 365 passed, 1 warning in 63.12s (0:01:03)",
+         {"failed": 2, "passed": 365, "warning": 1}, 63.12),
+        ("======= 1 error in 0.50s =======", {"error": 1}, 0.5),
+    ],
+)
+def test_tier1_summary_reads_outcomes_and_criterion_times(bench, summary, outcomes, seconds):
+    got = bench.tier1_summary(DURATIONS + summary + "\n")
+    assert got == {"outcomes": outcomes, "seconds": seconds,
+                   "criterion_4_s": 11.90, "criterion_8_s": 17.03}
+
+
+def test_tier1_summary_without_a_summary_or_criteria(bench):
+    got = bench.tier1_summary("ERROR: file or directory not found: tests\n")
+    assert got == {"outcomes": {}, "seconds": None, "criterion_4_s": None, "criterion_8_s": None}
+
+
+def test_diff_prints_tier1_outcomes_and_times(bench, capsys):
+    old, new = record(), record()
+    old["tier1"] = bench.tier1_summary(DURATIONS + "367 passed in 43.56s\n")
+    new["tier1"] = bench.tier1_summary(DURATIONS.replace("11.90s", "9.50s") + "1 failed, 366 passed in 40.00s\n")
+    assert bench.diff(old, new, BENCH) == 0
+    out = capsys.readouterr().out
+    assert "tier-1: 367 passed -> 1 failed, 366 passed" in out
+    assert "seconds: 43.6 -> 40.0 s" in out
+    assert "criterion_4: 11.9 -> 9.5 s" in out and "criterion_8: 17.0 -> 17.0 s" in out
+    bench.diff(record(), new, BENCH)
+    assert "tier-1: not in both records" in capsys.readouterr().out

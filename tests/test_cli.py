@@ -667,6 +667,25 @@ class TestMalformedInputs:
         assert "H=0, W=5 at byte 4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_names_the_damaged_file(self, tmp_path, capsys):
+        """Over several sites, the error names the one bad file."""
+        tile = run_gen(tmp_path, count=1) / "tile_00000.btt"
+        good, bad = tmp_path / "good.btm", tmp_path / "bad.btm"
+        write_mask(read_tile(tile).mask, good)
+        bad.write_bytes(b"BTM1" + struct.pack("<II", 0, 5))
+        rc = main(["eval", "--pred", str(good), str(bad), "--truth", str(tile), str(tile),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 3
+        assert f"error: {bad}: dimension zero or overflow: H=0, W=5 at byte 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damaged", ["checkpoint", "tile"])
+    def test_predict_names_the_damaged_file(self, site, tmp_path, capsys, damaged):
+        tile, ckpt = site
+        path = {"checkpoint": ckpt, "tile": tile}[damaged]
+        path.write_bytes(path.read_bytes()[:-1])
+        assert predict_rc(ckpt, tile, tmp_path) == 3
+        assert f"error: {path}: truncated" in capsys.readouterr().err
+
     def test_mask_byte_outside_domain(self, tmp_path, capsys):
         tile = run_gen(tmp_path, count=1) / "tile_00000.btt"
         pred = tmp_path / "p.btm"

@@ -1,8 +1,10 @@
 """Forward semantics and shape contracts of the autodiff primitives."""
 
 import ctypes
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from diffnet.errors import ContractError, ShapeError
 from diffnet.losses import LossConfig, hybrid_loss
 from diffnet.tensor import (
     _BLOCK,
+    _consumed,
     _pin_malloc,
     Tensor,
     add,
@@ -411,13 +414,16 @@ class TestConcatAndSub:
 
 
 def model_loss_after_backward(model, scene):
-    """Train-mode forward of a 32x32 crop, the hybrid loss, then backward."""
+    """Train-mode forward of a 32x32 crop, the hybrid loss, then backward.
+    Returns the loss and every node of its graph, collected before the
+    backward drops the graph's edges; holding them keeps them alive."""
     pre = Tensor(scene.pre[None, :, :32, :32])
     post = Tensor(scene.post[None, :, :32, :32])
     probs = model.forward(pre, post, mode="train")
     loss = hybrid_loss(probs, scene.mask[None, None, :32, :32], LossConfig())
+    nodes = graph_nodes(loss)
     loss.backward()
-    return loss
+    return loss, nodes
 
 
 def graph_nodes(root):
@@ -465,16 +471,15 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [2.0], rtol=1e-12)
 
     def test_backward_consumes_the_graph(self, small_model, small_scene):
-        loss = model_loss_after_backward(small_model, small_scene)
-        nodes = graph_nodes(loss)
+        loss, nodes = model_loss_after_backward(small_model, small_scene)
         assert len(nodes) > 100
-        assert all(node._backward is None for node in nodes)
+        assert all(node._backward in (None, _consumed) and not node._parents for node in nodes)
         with pytest.raises(ContractError, match="consumed"):
             loss.backward()
 
     def test_no_two_tensors_share_a_gradient_buffer(self, small_model, small_scene):
-        loss = model_loss_after_backward(small_model, small_scene)
-        grads = [node._grad for node in graph_nodes(loss) if node._grad is not None]
+        _, nodes = model_loss_after_backward(small_model, small_scene)
+        grads = [node._grad for node in nodes if node._grad is not None]
         assert len(grads) > 100
         for i, a in enumerate(grads):
             for b in grads[i + 1 :]:
@@ -487,6 +492,30 @@ class TestBackward:
         with pytest.raises(ContractError, match="consumed"):
             mul(first, 3.0).backward()
         assert np.array_equal(x.grad, np.full((2, 2), 2.0, np.float32))
+
+    def test_an_intermediate_the_caller_dropped_is_freed(self, rng):
+        """With the cyclic collector off, only the references that
+        backward() drops can free the relu output by the time it returns."""
+        x = Tensor(randn(rng, 3, 4), requires_grad=True)
+        h = relu(mul(x, 2.0))
+        freed = weakref.ref(h.data)  # Tensor has no __weakref__ slot
+        loss = tsum(mul(h, 3.0))
+        del h
+        gc.disable()
+        try:
+            loss.backward()
+            assert freed() is None
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(x.grad, np.where(x.data > 0, 6.0, 0.0))
+
+    def test_an_intermediate_the_caller_holds_keeps_data_and_grad(self, rng):
+        x = Tensor(randn(rng, 3, 4), requires_grad=True)
+        h = relu(mul(x, 2.0))
+        data = h.data.copy()
+        tsum(mul(h, 3.0)).backward()
+        assert np.array_equal(h.data, data)
+        assert np.array_equal(h.grad, np.full((3, 4), 3.0, np.float32))
 
 
 def _f64(*shape, low=None):

@@ -239,6 +239,27 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert peak <= 25 << 20, f"{peak / 2**20:.1f} MiB"
 
+    def test_backward_peak_stays_near_the_forward(self):
+        """One train-mode forward and hybrid loss at the acceptance config:
+        backward() frees each activation once its consumers have run back,
+        so at its peak it holds under a quarter more than the forward left
+        live.  Keeping the whole graph to the end took +7.8 over 13.1 MiB."""
+        tiles = [generate_scene(SceneParams(channels=8, size=(64, 64)), seed=s) for s in range(4)]
+        model = init_model(ModelConfig(in_channels=8, base_width=8), seed=0)
+        pre, post = (Tensor(np.stack([getattr(t, k) for t in tiles])) for k in ("pre", "post"))
+        tgt = np.stack([t.mask[None] for t in tiles])
+        tracemalloc.start()
+        try:
+            probs = model.forward(pre, post, mode="train")
+            loss = hybrid_loss(probs, tgt, LossConfig())
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < live / 4, f"+{peak / 2**20:.1f} over {live / 2**20:.1f} MiB"
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr=-1.0).validate()
