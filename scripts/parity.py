@@ -17,14 +17,12 @@ and overlay file bytes.  Run it on two commits and diff:
 
 The output opens with the machine key, ``# field: value`` lines naming the
 CPU model and the Python, numpy and BLAS versions, since float digests may
-differ across these.  ``--check FILE`` recomputes the digests, compares
-them with a saved output such as ``tests/golden/parity.txt``, names the
-first one that differs and exits 1 if any does:
+differ across these.  ``tests/test_parity.py`` checks the output against
+``tests/golden/parity.txt``, which is regenerated with:
 
-    PYTHONPATH=src python scripts/parity.py --check tests/golden/parity.txt
+    PYTHONPATH=src python scripts/parity.py > tests/golden/parity.txt
 """
 
-import argparse
 import hashlib
 import platform
 import sys
@@ -115,64 +113,18 @@ def machine_key() -> dict[str, str]:
     return {"cpu": cpu, "python": python, "numpy": np.__version__, "blas": blas}
 
 
-def read_saved(path) -> tuple[dict[str, str], list[tuple[str, str]]]:
-    """The machine key and the (name, digest) pairs of a saved output."""
-    key, pairs = {}, []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("# "):
-            field, _, value = line[2:].partition(": ")
-            key[field] = value
-        elif line:
-            name, hexdigest = line.split()
-            pairs.append((name, hexdigest))
-    return key, pairs
-
-
-def key_difference(key: dict[str, str]) -> str | None:
-    """Name the first machine-key field that differs from this machine's."""
-    here = machine_key()
-    for field, value in here.items():
-        if key.get(field) != value:
-            return f"{field} is {value!r} here, {key.get(field)!r} in the saved output"
-    return None
-
-
-def first_difference(saved: list[tuple[str, str]], pairs: list[tuple[str, str]]) -> str | None:
-    for (name, hexdigest), (saved_name, saved_hex) in zip(pairs, saved):
-        if name != saved_name:
-            return f"digest {name} here where the saved output has {saved_name}"
-        if hexdigest != saved_hex:
-            return f"{name} differs: {hexdigest} here, {saved_hex} saved"
-    if len(pairs) != len(saved):
-        return f"{len(pairs)} digests here, {len(saved)} saved"
-    return None
-
-
-def check(path) -> int:
-    key, saved = read_saved(path)
-    other = key_difference(key)
-    if other:
-        print(f"parity: {path} comes from another machine: {other}", file=sys.stderr)
-    diff = first_difference(saved, list(digests()))
-    if diff:
-        print(f"parity: {diff}", file=sys.stderr)
-        return 1
-    print(f"parity: all {len(saved)} digests match {path}")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", metavar="FILE", help="compare with a saved output")
-    args = parser.parse_args(argv)
-    if args.check:
-        return check(args.check)
+def lines():
+    """The output, line by line: the machine key, then the digests."""
     for field, value in machine_key().items():
-        print(f"# {field}: {value}")
+        yield f"# {field}: {value}"
     for name, hexdigest in digests():
-        print(name, hexdigest)
-    return 0
+        yield f"{name} {hexdigest}"
+
+
+def main() -> None:
+    for line in lines():
+        print(line)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -137,6 +137,27 @@ def write_manifest(
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _file_key(path):
+    """A file's device and inode, or its absolute path if it does not exist:
+    one stat, where ``Path.resolve`` takes one per path component."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.abspath(path)
+    return st.st_dev, st.st_ino
+
+
+def _refuse_overwrite(inputs: list, outputs: dict[str, str]) -> None:
+    """ConfigError (exit 2) when an output path, keyed by its flag, names
+    an input or another output's file, before anything is read."""
+    taken = {_file_key(p): "an input" for p in inputs}
+    for flag, path in outputs.items():
+        key = _file_key(path)
+        if key in taken:
+            raise ConfigError(f"{flag} {path} is also {taken[key]}")
+        taken[key] = f"the {flag} path"
+
+
 def _load_any_mask(path: Path) -> np.ndarray:
     if path.suffix == ".btt":
         # A copy, so the mask does not keep the whole tile's buffer alive.
@@ -191,6 +212,8 @@ def cmd_train(args) -> int:
     tile_paths = sorted(data_dir.glob("*.btt"))
     if not tile_paths:
         raise ConfigError(f"no .btt tiles found in {data_dir}")
+    args.log_csv = args.log_csv or f"{args.out}.log.csv"
+    _refuse_overwrite(tile_paths, {"--out": args.out, "--log-csv": args.log_csv})
     tiles = [read_tile(p) for p in tile_paths]
 
     pos_weight = None if args.pos_weight == "auto" else float(args.pos_weight)
@@ -210,7 +233,6 @@ def cmd_train(args) -> int:
     ckpt, log = train(model, tiles, cfg)
 
     out = Path(args.out)
-    args.log_csv = args.log_csv or f"{args.out}.log.csv"
     log_csv = Path(args.log_csv)
     for path in (out, log_csv):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -221,6 +243,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _refuse_overwrite([args.checkpoint, args.tile], {"--out": args.out})
     ckpt = load_checkpoint(args.checkpoint)  # refuses NaN/Inf tensors itself
     tile = read_tile(args.tile)
     # a NaN or Inf in the images would come out as an all-zero mask
@@ -243,12 +266,17 @@ def cmd_eval(args) -> int:
             f"site count mismatch: {len(args.pred)} predictions vs "
             f"{len(args.truth)} truth files"
         )
+    _refuse_overwrite(args.pred + args.truth, {"--out": args.out})
     rows = []
     for pred_path, truth_path in zip(args.pred, args.truth):
         pred = _load_any_mask(Path(pred_path))
         truth = _load_any_mask(Path(truth_path))
         counts = confusion_counts(pred, truth)
-        rows.append((Path(pred_path).stem, metrics_from_counts(counts)))
+        try:
+            metrics = metrics_from_counts(counts)
+        except ContractError as e:
+            raise ContractError(f"--pred {pred_path} --truth {truth_path}: {e}") from None
+        rows.append((Path(pred_path).stem, metrics))
     mean_set, std_set = aggregate([m for _, m in rows])
 
     out = Path(args.out)
@@ -263,6 +291,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _refuse_overwrite([args.pred, args.truth], {"--out": args.out})
     pred = _load_any_mask(Path(args.pred))
     truth = _load_any_mask(Path(args.truth))
     out = Path(args.out)

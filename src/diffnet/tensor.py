@@ -35,6 +35,7 @@ N x C x H x W layout, row-major.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 
 import numpy as np
@@ -82,18 +83,15 @@ _pin_malloc()
 _grad_enabled = True
 
 
-class no_grad:
-    """Context manager that disables graph recording (inference paths)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+@contextlib.contextmanager
+def no_grad():
+    """Disable graph recording inside the ``with`` body (inference paths)."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class Tensor:

@@ -349,6 +349,20 @@ class TestEval:
                    "--out", str(tmp_path / "m.csv")])
         assert rc == 2
 
+    def test_site_without_valid_pixel_is_named(self, tmp_path, capsys):
+        tile = run_gen(tmp_path, count=1) / "tile_00000.btt"
+        good, empty = tmp_path / "b.btm", tmp_path / "a.btm"
+        write_mask(read_tile(tile).mask, good)
+        write_mask(np.full((64, 64), 255, np.uint8), empty)
+        out = tmp_path / "m.csv"
+        rc = main(["eval", "--pred", str(good), str(empty), "--truth", str(tile), str(empty),
+                   "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"error: --pred {empty} --truth {empty}: " in err
+        assert "at least one valid pixel" in err
+        assert not out.exists()
+
     def test_published_table_count_fixtures_reproduce_mean_f1(self, tmp_path):
         """Mask pairs engineered to the published per-site precision/recall
         must aggregate to the published mean F1 of 0.735 within 0.001."""
@@ -475,6 +489,41 @@ class TestRender:
             for _ in range(2)
         )
         assert_render_matches_reference(pred, truth, tmp_path_factory.getbasetemp() / "o.ppm")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--checkpoint", "{ckpt}", "--tile", "{tile}", "--out", "{tile}"],
+        ["predict", "--checkpoint", "{ckpt}", "--tile", "{tile}", "--out", "{ckpt}"],
+        ["eval", "--pred", "{pred}", "--truth", "{tile}", "--out", "{pred}"],
+        ["render", "--pred", "{pred}", "--truth", "{tile}", "--out", "{tile_alias}"],
+        ["train", "--data-dir", "{data}", "--steps", "1", "--out", "{tile}"],
+        ["train", "--data-dir", "{data}", "--steps", "1", "--out", "{ckpt}", "--log-csv", "{tile}"],
+        ["train", "--data-dir", "{data}", "--steps", "1", "--out", "{ckpt}", "--log-csv", "{ckpt}"],
+    ],
+    ids=["predict-tile", "predict-ckpt", "eval", "render", "train-out", "train-log", "train-same"],
+)
+def test_output_onto_an_input_is_usage_error(tmp_path, capsys, argv):
+    """The last flag names a file that the command would overwrite: exit 2,
+    naming flag and path, before any file is read or written."""
+    data = run_gen(tmp_path, count=1)
+    tile = data / "tile_00000.btt"
+    paths = {
+        "data": data,
+        "tile": tile,
+        "tile_alias": data / ".." / data.name / tile.name,
+        "ckpt": tmp_path / "m.sunc",
+        "pred": tmp_path / "p.btm",
+    }
+    model = init_model(ModelConfig(in_channels=2, base_width=4), 0)
+    save_checkpoint(checkpoint_from_model(model), paths["ckpt"])
+    write_mask(read_tile(tile).mask, paths["pred"])
+    argv = [a.format(**paths) for a in argv]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(argv) == 2
+    assert f"error: {argv[-2]} {argv[-1]} is also " in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestUsage:

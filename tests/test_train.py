@@ -20,7 +20,7 @@ from diffnet.errors import (
 )
 from diffnet.losses import LossConfig, auto_pos_weight, dice_loss, hybrid_loss, weighted_bce
 from diffnet.model import ModelConfig, SiameseUNet, init_model
-from diffnet.tensor import Tensor
+from diffnet.tensor import Tensor, no_grad
 from diffnet.train import (
     AdamState,
     TrainConfig,
@@ -489,3 +489,14 @@ class TestPredict:
         )
         with pytest.raises(ShapeError):
             predict(model, tile)
+
+    def test_graph_recording_resumes_after_a_raise_or_nested_no_grad(self):
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        with pytest.raises(ShapeError):
+            predict(init_model(TINY, seed=3), tiny_tiles(1, size=(33, 40))[0])
+        assert (x * 2).requires_grad
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * 2).requires_grad
+        assert (x * 2).requires_grad
