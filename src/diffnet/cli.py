@@ -115,12 +115,17 @@ def resolve_seed(flag_value: int | None) -> int:
         raise ConfigError(f"DIFFNET_SEED: {e}") from None
 
 
+def _manifest_path(first_output) -> Path:
+    """Where ``write_manifest`` records a run that names no other path."""
+    return Path(f"{first_output}.manifest.json")
+
+
 def write_manifest(
     args: argparse.Namespace, inputs: list, outputs: list, path: Path | None = None
 ) -> None:
     """Record the subcommand and every flag as parsed (after seed and
     default-path resolution), keyed by flag name.  The manifest goes to
-    ``path``, by default ``<first output>.manifest.json``."""
+    ``path``, by default ``_manifest_path(outputs[0])``."""
     flags = {
         k.replace("_", "-"): v
         for k, v in vars(args).items()
@@ -133,7 +138,7 @@ def write_manifest(
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
-    path = path or Path(f"{outputs[0]}.manifest.json")
+    path = path or _manifest_path(outputs[0])
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -148,10 +153,12 @@ def _file_key(path):
 
 
 def _refuse_overwrite(inputs: list, outputs: dict[str, str]) -> None:
-    """ConfigError (exit 2) when an output path, keyed by its flag, names
-    an input or another output's file, before anything is read."""
+    """ConfigError (exit 2) when an output path, keyed by its flag, or the
+    manifest of the first output names an input or another output's file,
+    before anything is read."""
     taken = {_file_key(p): "an input" for p in inputs}
-    for flag, path in outputs.items():
+    first = next(iter(outputs.values()))
+    for flag, path in {**outputs, "the manifest": _manifest_path(first)}.items():
         key = _file_key(path)
         if key in taken:
             raise ConfigError(f"{flag} {path} is also {taken[key]}")
@@ -208,14 +215,6 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     args.seed = resolve_seed(args.seed)
-    data_dir = Path(args.data_dir)
-    tile_paths = sorted(data_dir.glob("*.btt"))
-    if not tile_paths:
-        raise ConfigError(f"no .btt tiles found in {data_dir}")
-    args.log_csv = args.log_csv or f"{args.out}.log.csv"
-    _refuse_overwrite(tile_paths, {"--out": args.out, "--log-csv": args.log_csv})
-    tiles = [read_tile(p) for p in tile_paths]
-
     pos_weight = None if args.pos_weight == "auto" else float(args.pos_weight)
     cfg = TrainConfig(
         lr=args.lr,
@@ -226,6 +225,15 @@ def cmd_train(args) -> int:
         loss=LossConfig(alpha=args.alpha, pos_weight=pos_weight, dice_eps=args.dice_eps),
         log_every=args.log_every,
     )
+    cfg.validate()  # before any tile is read
+    data_dir = Path(args.data_dir)
+    tile_paths = sorted(data_dir.glob("*.btt"))
+    if not tile_paths:
+        raise ConfigError(f"no .btt tiles found in {data_dir}")
+    args.log_csv = args.log_csv or f"{args.out}.log.csv"
+    _refuse_overwrite(tile_paths, {"--out": args.out, "--log-csv": args.log_csv})
+    tiles = [read_tile(p) for p in tile_paths]
+
     model = init_model(
         ModelConfig(in_channels=tiles[0].channels, base_width=args.base_width),
         seed=args.model_seed,

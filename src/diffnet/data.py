@@ -184,11 +184,18 @@ class ByteReader:
 def write_atomic(path, chunks) -> None:
     """Write the chunks whole-file atomically: a temp file beside ``path``,
     then a rename, so no reader ever sees a partial file.  A chunk is
-    ``bytes`` or a C-contiguous array, written through its buffer."""
+    ``bytes`` or a C-contiguous array, written through its buffer.  If the
+    write or the rename raises, the temp file is removed before the error
+    propagates."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.writelines(chunks)
-    os.replace(tmp, path)
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_tile(tile: BitemporalTile, path) -> None:

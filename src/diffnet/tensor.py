@@ -529,15 +529,15 @@ def batchnorm2d(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
-    running_mean: np.ndarray | None,
-    running_var: np.ndarray | None,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
     mode: str,
 ) -> Tensor:
     """Per-channel batch normalization over the N, H, W axes.
 
     Train mode normalizes with the batch statistics (biased variance) and
-    folds them into the running buffers by exponential moving average;
-    eval mode normalizes with the running buffers only.
+    folds them into the running buffers in place, by exponential moving
+    average; eval mode normalizes with the running buffers only.
     """
     _require_4d(x, "batchnorm2d")
     if mode not in ("train", "eval"):
@@ -550,8 +550,6 @@ def batchnorm2d(
         )
 
     if mode == "eval":
-        if running_mean is None or running_var is None:
-            raise ConfigError("batchnorm2d eval mode requires running statistics")
         mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
         buf = None
@@ -561,11 +559,10 @@ def batchnorm2d(
         mean = x.data.mean(axis=(0, 2, 3))
         buf = x.data - mean[None, :, None, None]
         var = np.square(buf, out=buf).mean(axis=(0, 2, 3))
-        if running_mean is not None and running_var is not None:
-            running_mean *= 1.0 - _BN_MOMENTUM
-            running_mean += _BN_MOMENTUM * mean.astype(running_mean.dtype)
-            running_var *= 1.0 - _BN_MOMENTUM
-            running_var += _BN_MOMENTUM * var.astype(running_var.dtype)
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mean.astype(running_mean.dtype)
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * var.astype(running_var.dtype)
 
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     mean4, inv4 = mean[None, :, None, None], inv[None, :, None, None]

@@ -181,6 +181,15 @@ class TestTrain:
         manifest = json.loads(Path(f"{ckpt}.manifest.json").read_text())
         assert manifest["outputs"] == [str(ckpt), str(log_csv)]
 
+    def test_settings_are_checked_before_tiles_are_read(self, tmp_path, capsys):
+        data = run_gen(tmp_path, count=1)
+        (data / "tile_00000.btt").write_bytes(b"garbage")
+        rc = main(["train", "--data-dir", str(data), "--out", str(tmp_path / "m.sunc"),
+                   "--lr", "nan"])
+        assert rc == 2
+        assert "error: lr and adam_eps must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.glob("m.sunc*"))
+
     def test_no_tiles_is_usage_error_naming_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -524,6 +533,49 @@ def test_output_onto_an_input_is_usage_error(tmp_path, capsys, argv):
     assert main(argv) == 2
     assert f"error: {argv[-2]} {argv[-1]} is also " in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["predict", "--checkpoint", "{ckpt}", "--tile", "{site}.manifest.json", "--out", "{site}"],
+         "the manifest {site}.manifest.json is also an input"),
+        (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{ckpt}",
+          "--log-csv", "{ckpt}.manifest.json"],
+         "the manifest {ckpt}.manifest.json is also the --log-csv path"),
+    ],
+    ids=["predict-tile", "train-log"],
+)
+def test_manifest_onto_an_input_or_output_is_usage_error(tmp_path, capsys, argv, message):
+    """The manifest goes to ``<first output>.manifest.json``; when that
+    names an input or another output: exit 2, before any file is read or
+    written."""
+    data = run_gen(tmp_path, count=1)
+    paths = {"data": data, "site": tmp_path / "site", "ckpt": tmp_path / "m.sunc"}
+    (tmp_path / "site.manifest.json").write_bytes((data / "tile_00000.btt").read_bytes())
+    model = init_model(ModelConfig(in_channels=2, base_width=4), 0)
+    save_checkpoint(checkpoint_from_model(model), paths["ckpt"])
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("subcommand", ["predict", "train"])
+def test_output_onto_a_directory_leaves_no_temp_file(tmp_path, subcommand):
+    """A checkpoint or mask whose rename onto ``--out`` fails is exit 3,
+    and its temp file is removed."""
+    data = run_gen(tmp_path, count=1)
+    out = tmp_path / "out"
+    out.mkdir()
+    if subcommand == "predict":
+        argv = ["predict", "--checkpoint", str(run_train(tmp_path, data, steps=1)),
+                "--tile", str(data / "tile_00000.btt"), "--out", str(out)]
+    else:
+        argv = ["train", "--data-dir", str(data), "--out", str(out), "--base-width", "4",
+                "--steps", "1", "--patch-size", "32"]
+    assert main(argv) == 3
+    assert not list(tmp_path.rglob("*.tmp")) and not list(tmp_path.glob("out.*"))
 
 
 class TestUsage:

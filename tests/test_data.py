@@ -136,6 +136,25 @@ def test_writes_hand_arrays_over_uncopied(tmp_path, monkeypatch):
         assert path.read_bytes() == copied.read_bytes(), write.__name__
 
 
+def test_failed_write_removes_its_temp_file(tmp_path):
+    """A write or a rename that raises leaves the target as it was and no
+    ``.tmp`` file beside it."""
+    target = tmp_path / "t.btm"
+    target.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        data.write_atomic(target, chunks())
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        data.write_atomic(tmp_path / "dir", [b"new"])
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "t.btm"]
+
+
 class TestGenerateScene:
     def test_no_blobs_means_empty_mask(self):
         params = SceneParams(channels=2, size=(32, 32), n_scar_blobs=0)

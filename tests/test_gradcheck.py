@@ -39,27 +39,26 @@ def relu_safe(x, margin=1e-3):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_conv2d_gradcheck(seed):
     ins = arrays(seed, (1, 2, 5, 5), (2, 2, 3, 3), (2,))
-    r = gradcheck("conv2d", conv2d, ins, seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(conv2d, ins, seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_conv1x1_gradcheck(seed):
     ins = arrays(seed, (1, 3, 4, 4), (1, 3, 1, 1), (1,))
-    r = gradcheck("conv1x1", conv2d, ins, seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(conv2d, ins, seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batchnorm_train_gradcheck(seed):
     ins = arrays(seed, (2, 3, 4, 4), (3,), (3,))
-    r = gradcheck(
-        "batchnorm2d-train",
-        lambda x, g, b: batchnorm2d(x, g, b, None, None, "train"),
+    err = gradcheck(
+        lambda x, g, b: batchnorm2d(x, g, b, np.zeros(3), np.ones(3), "train"),
         ins,
         seed=seed,
     )
-    assert r.max_rel_error < TOL
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -67,54 +66,49 @@ def test_batchnorm_eval_gradcheck(seed):
     ins = arrays(seed, (2, 3, 4, 4), (3,), (3,))
     rm = np.array([0.1, -0.2, 0.3])
     rv = np.array([1.0, 2.0, 0.5])
-    r = gradcheck(
-        "batchnorm2d-eval",
-        lambda x, g, b: batchnorm2d(x, g, b, rm, rv, "eval"),
-        ins,
-        seed=seed,
-    )
-    assert r.max_rel_error < TOL
+    err = gradcheck(lambda x, g, b: batchnorm2d(x, g, b, rm, rv, "eval"), ins, seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_relu_gradcheck_away_from_kink(seed):
     (x,) = arrays(seed, (3, 5))
-    r = gradcheck("relu", relu, [relu_safe(x)], seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(relu, [relu_safe(x)], seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sigmoid_gradcheck(seed):
-    r = gradcheck("sigmoid", sigmoid, arrays(seed, (3, 5)), seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(sigmoid, arrays(seed, (3, 5)), seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_maxpool_gradcheck(seed):
     # standard normal draws essentially never tie within a window
-    r = gradcheck("maxpool2x2", maxpool2x2, arrays(seed, (1, 2, 6, 6)), seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(maxpool2x2, arrays(seed, (1, 2, 6, 6)), seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_upconv_gradcheck(seed):
     ins = arrays(seed, (1, 3, 3, 3), (3, 2, 2, 2), (2,))
-    r = gradcheck("upconv2x2", upconv2x2, ins, seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(upconv2x2, ins, seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_concat_gradcheck(seed):
     ins = arrays(seed, (1, 2, 3, 3), (1, 3, 3, 3))
-    r = gradcheck("concat_channels", concat_channels, ins, seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(concat_channels, ins, seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sub_gradcheck_is_nearly_exact(seed):
     # linear map: central differences are exact up to rounding
-    r = gradcheck("sub", sub, arrays(seed, (3, 4), (3, 4)), seed=seed)
-    assert r.max_rel_error < 1e-8
+    err = gradcheck(sub, arrays(seed, (3, 4), (3, 4)), seed=seed)
+    assert err < 1e-8
 
 
 def _composite_chain_inputs(seed):
@@ -125,7 +119,7 @@ def _composite_chain_inputs(seed):
         gm = gm + 1.0
         pre = batchnorm2d(
             conv2d(Tensor(x), Tensor(w), Tensor(b)),
-            Tensor(gm), Tensor(bt), None, None, "train",
+            Tensor(gm), Tensor(bt), np.zeros(3), np.ones(3), "train",
         ).data
         if np.abs(pre).min() < 1e-3:
             continue
@@ -141,10 +135,11 @@ def _composite_chain_inputs(seed):
 @pytest.mark.parametrize("seed", [0, 1000, 2000])
 def test_composite_chain_gradcheck(seed):
     def chain(x, w, b, gm, bt):
-        return maxpool2x2(relu(batchnorm2d(conv2d(x, w, b), gm, bt, None, None, "train")))
+        pre = batchnorm2d(conv2d(x, w, b), gm, bt, np.zeros(3), np.ones(3), "train")
+        return maxpool2x2(relu(pre))
 
-    r = gradcheck("conv-bn-relu-pool", chain, _composite_chain_inputs(seed), seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(chain, _composite_chain_inputs(seed), seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -152,8 +147,8 @@ def test_dice_loss_gradcheck(seed):
     g = np.random.default_rng(seed)
     probs = g.uniform(0.1, 0.9, size=(1, 1, 4, 4))
     target = (g.uniform(size=(1, 1, 4, 4)) < 0.3).astype(np.uint8)
-    r = gradcheck("dice_loss", lambda p: dice_loss(p, target), [probs], seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(lambda p: dice_loss(p, target), [probs], seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -162,8 +157,8 @@ def test_hybrid_loss_gradcheck(seed):
     probs = g.uniform(0.2, 0.8, size=(1, 1, 4, 4))
     target = (g.uniform(size=(1, 1, 4, 4)) < 0.3).astype(np.uint8)
     cfg = LossConfig(alpha=0.5, pos_weight=3.0)
-    r = gradcheck("hybrid_loss", lambda p: hybrid_loss(p, target, cfg), [probs], seed=seed)
-    assert r.max_rel_error < TOL
+    err = gradcheck(lambda p: hybrid_loss(p, target, cfg), [probs], seed=seed)
+    assert err < TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -172,17 +167,5 @@ def test_hybrid_loss_through_sigmoid_gradcheck(seed):
     logits = g.standard_normal((1, 1, 4, 4))
     target = (g.uniform(size=(1, 1, 4, 4)) < 0.3).astype(np.uint8)
     cfg = LossConfig(alpha=0.5, pos_weight=None)
-    r = gradcheck(
-        "sigmoid+hybrid_loss",
-        lambda z: hybrid_loss(sigmoid(z), target, cfg),
-        [logits],
-        seed=seed,
-    )
-    assert r.max_rel_error < TOL
-
-
-def test_report_counts_all_elements():
-    ins = arrays(0, (2, 3), (2, 3))
-    r = gradcheck("sub", sub, ins)
-    assert r.n_checked == 12
-    assert r.op_name == "sub"
+    err = gradcheck(lambda z: hybrid_loss(sigmoid(z), target, cfg), [logits], seed=seed)
+    assert err < TOL
