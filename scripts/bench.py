@@ -67,8 +67,12 @@ NOTES = (
     "checkout directories confirms it.",
     "predict-512 throughput can step by 1-5 % between two checkouts of the "
     "same predict code; a claim there needs alternating pairs in fresh clones.",
-    "score-sites throughput spreads with an IQR of about 17 % of its median "
-    "within one commit.",
+    "score-sites ops spend milliseconds in ext4 writeback: each op replaces "
+    "six existing files (mask, CSV, PPM and their manifests) and ext4's "
+    "auto_da_alloc flushes a file's data when a rename replaces it; unlinking "
+    "each target before its rename (not adopted: it drops that flush) raised "
+    "throughput from 91-94 to 106-115 item/s and cut raw op_ms p99 from "
+    "14-15 to 12-13 ms, so the disk's load moves this workload.",
     "predict-512 setup_s depended on the heap the ops leave behind until "
     "diffnet.tensor pinned glibc's mmap and trim thresholds; compare it only "
     "between records that both have the pin.",

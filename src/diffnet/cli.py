@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from .data import (
     generate_scene,
     read_mask,
     read_tile,
+    write_atomic,
     write_mask,
     write_tile,
 )
@@ -139,29 +142,34 @@ def write_manifest(
         "outputs": [str(p) for p in outputs],
     }
     path = path or _manifest_path(outputs[0])
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, (text.encode(),))
 
 
-def _file_key(path):
-    """A file's device and inode, or its absolute path if it does not exist:
-    one stat, where ``Path.resolve`` takes one per path component."""
+def _file_key(path) -> tuple:
+    """A file's device and inode, or its absolute path if it does not exist,
+    and whether it is a directory: one stat, where ``Path.resolve`` takes
+    one per path component."""
     try:
         st = os.stat(path)
     except OSError:
-        return os.path.abspath(path)
-    return st.st_dev, st.st_ino
+        return os.path.abspath(path), False
+    return (st.st_dev, st.st_ino), stat.S_ISDIR(st.st_mode)
 
 
 def _refuse_overwrite(inputs: list, outputs: dict[str, str]) -> None:
-    """ConfigError (exit 2) when an output path, keyed by its flag, or the
-    manifest of the first output names an input or another output's file,
-    before anything is read."""
-    taken = {_file_key(p): "an input" for p in inputs}
+    """Before anything is read: ConfigError (exit 2) when an output path,
+    keyed by its flag, or the manifest of the first output names an input
+    or another output's file, and IsADirectoryError (exit 3) when it names
+    a directory."""
+    taken = {_file_key(p)[0]: "an input" for p in inputs}
     first = next(iter(outputs.values()))
     for flag, path in {**outputs, "the manifest": _manifest_path(first)}.items():
-        key = _file_key(path)
+        key, is_dir = _file_key(path)
         if key in taken:
             raise ConfigError(f"{flag} {path} is also {taken[key]}")
+        if is_dir:
+            raise IsADirectoryError(f"{flag} {path} is a directory")
         taken[key] = f"the {flag} path"
 
 
@@ -181,8 +189,7 @@ def render_confusion(pred: np.ndarray, truth: np.ndarray, out_path) -> None:
     code = confusion_codes(pred, truth)
     h, w = code.shape
     img = _PALETTE.take(code, axis=0)  # _PALETTE[code], about 2x faster at 64x64
-    with open(out_path, "wb") as f:
-        f.write(b"P6\n" + f"{w} {h}\n255\n".encode() + img.tobytes())
+    write_atomic(out_path, (f"P6\n{w} {h}\n255\n".encode(), img))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -287,13 +294,14 @@ def cmd_eval(args) -> int:
         rows.append((Path(pred_path).stem, metrics))
     mean_set, std_set = aggregate([m for _, m in rows])
 
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["site", *METRIC_NAMES])
+    for site, m in rows + [("mean", mean_set), ("std", std_set)]:
+        writer.writerow([site, *(f"{v:.6f}" for v in m.as_tuple())])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["site", *METRIC_NAMES])
-        for site, m in rows + [("mean", mean_set), ("std", std_set)]:
-            writer.writerow([site, *(f"{v:.6f}" for v in m.as_tuple())])
+    write_atomic(out, (text.getvalue().encode(),))
     write_manifest(args, args.pred + args.truth, [out])
     return EXIT_OK
 

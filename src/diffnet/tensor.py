@@ -1,18 +1,34 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: a ``Tensor`` wraps a numpy array, and
-every differentiable operation has one shape.  It computes its result,
-defines ``bw(g)``, a vector-Jacobian product that takes the gradient ``g``
-of that result and adds its contributions into the parents' gradients,
-and returns ``_make(data, parents, bw)``.  ``_make`` sets the result's
-``_backward`` to a zero-argument call of ``bw`` on the result's gradient.
-``Tensor.backward`` walks the recorded graph once, in reverse topological
-order, and consumes it: once a node's ``_backward`` has run, the node
+The engine is deliberately small: a ``Tensor`` wraps a numpy array and,
+when it needs a gradient, a graph node (``_Node``) that holds the
+gradient, the nodes of the op's inputs and the op's backward.  Every
+differentiable operation has one shape.  It computes its result, defines
+``bw(g, *nodes)``, a vector-Jacobian product that takes the gradient ``g``
+of that result and adds its contributions into the input nodes'
+gradients, and returns ``_make(data, parents, bw)``.  ``_make`` sets the
+result node's ``_backward`` to a zero-argument call of ``bw`` on that
+node's gradient.
+
+Graph edges hold nodes, not tensors, and each ``bw`` closes over only
+the arrays it reads, never over a tensor (its own output included), so an
+intermediate whose data no backward reads is freed as soon as the model
+drops it.  ``add``, ``sub``, ``tsum`` and ``concat_channels`` save no
+array; ``relu`` and ``sigmoid`` save their output, ``maxpool2x2`` its
+input and output, and the other ops their inputs.  ``relu`` reads its
+output since ``out > 0`` is the mask ``x > 0``, signed zeros and NaN
+included, so its input, a batch-norm output, is freed.  ``conv2d`` saves
+its input, not the padded copy its forward reads: its backward pads the
+input again for the weight gradient and frees that copy before the
+input-gradient loop.  Under ``no_grad`` no node is made.
+
+``Tensor.backward`` walks the nodes once, in reverse topological order,
+and consumes the graph: once a node's ``_backward`` has run, the node
 drops its parents and its ``_backward`` becomes ``_consumed``, which
-raises.  Reference counting then frees each intermediate tensor, with its
-gradient and the arrays its op saved, as soon as the ops that consume it
-have run back, unless the caller still holds it; so the backward's peak
-stays close to the forward's.  A graph can be walked back only once.
+raises.  Reference counting then frees each node, with its gradient and
+the arrays its op saved, as soon as the ops that consume it have run back,
+unless the caller still holds its tensor; so the backward's peak stays
+close to the forward's.  A graph can be walked back only once.
 
 ``conv2d`` is a shifted-tap GEMM over one zero-padded flat copy of the
 input (each kernel tap is a matmul against a contiguous slice of it), run
@@ -26,7 +42,7 @@ saved input), and ``maxpool2x2`` pools the column pairs of every row
 before it pools pairs of those half-width rows; its backward selects the
 gradient with a bit mask instead of ``np.where``.
 A ``bw`` hands a gradient it has just allocated to ``_accum`` as owned,
-so the first contribution to a tensor is not copied.
+so the first contribution to a node is not copied.
 
 Working precision is float32; every kernel is dtype-generic, so the same
 ops run in float64 for numeric gradient checking.  Image tensors use the
@@ -94,37 +110,69 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """A tensor's place in the autodiff graph: its gradient, the nodes of
+    the op inputs that need one, and the op's backward.  A node holds no
+    tensor, so no tensor outlives the model's last reference to it."""
+
+    __slots__ = ("_grad", "_parents", "_backward")
+
+    def __init__(self, parents: tuple = ()):
+        self._grad = None
+        self._parents = parents
+        self._backward = None
+
+
 class Tensor:
     """A dense float array that can participate in an autodiff graph.
 
-    For tensors that require gradients, ``grad`` reads as a zeros buffer
-    until a backward pass touches it, so tensors unreachable from a loss
-    report a zero gradient without paying for the allocation up front.
+    A tensor that requires gradients has a graph node (``_node``); one
+    that does not has none.  ``_parents`` and ``_backward`` read (and
+    ``_backward`` writes) that node's.  For tensors that require
+    gradients, ``grad`` reads as a zeros buffer until a backward pass
+    touches it, so tensors unreachable from a loss report a zero gradient
+    without paying for the allocation up front.
     """
 
-    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, _parents: tuple = ()):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
-        self.requires_grad = bool(requires_grad) and _grad_enabled
-        self._grad = None
-        self._parents = _parents
-        self._backward = None
+        self._node = _Node() if requires_grad and _grad_enabled else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
 
     @property
     def grad(self):
         """Accumulated gradient; reads as zeros until a backward pass
         reaches this tensor (the buffer is materialized lazily)."""
-        if self._grad is None and self.requires_grad:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
+        node = self._node
+        if node is None:
+            return None
+        if node._grad is None:
+            node._grad = np.zeros_like(self.data)
+        return node._grad
 
     @grad.setter
     def grad(self, value):
-        self._grad = value
+        self._node._grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node._backward = fn
 
     @property
     def shape(self) -> tuple:
@@ -143,7 +191,8 @@ class Tensor:
 
     def zero_grad(self) -> None:
         """Drop the gradient; ``grad`` reads as zeros until the next backward."""
-        self._grad = None
+        if self._node is not None:
+            self._node._grad = None
 
     def __repr__(self) -> str:
         return (
@@ -185,29 +234,32 @@ class Tensor:
         """Propagate d(self)/d(tensor) to every reachable tensor.
 
         ``self`` must hold exactly one element (a scalar loss).  The pass
-        consumes the graph: once an op's ``_backward`` has run, its output
-        drops its parents and its ``_backward`` becomes ``_consumed``.  That
-        breaks the tensor <-> ``_backward`` reference cycle, and the walk
-        pops each node off its list, so an intermediate that the caller
-        does not hold is freed, with its gradient and the arrays its op
-        saved, as soon as the ops that consume it have run back.  Leaves
-        and the tensors the caller holds keep their data and gradients.
-        Calling ``backward`` again on a consumed graph, or on a loss built
-        on a consumed tensor, raises ``ContractError`` before any gradient
-        moves.
+        walks the graph of nodes, not tensors: an op's backward holds its
+        inputs' nodes and only the arrays it reads, so an intermediate
+        whose data no backward reads was freed when the model dropped it.
+        The pass consumes the graph: once an op's ``_backward`` has run,
+        its node drops its parents and its ``_backward`` becomes
+        ``_consumed``.  That breaks the node <-> ``_backward`` reference
+        cycle, and the walk pops each node off its list, so a node that no
+        tensor the caller holds owns is freed, with its gradient and the
+        arrays its op saved, as soon as the ops that consume it have run
+        back.  Leaves and the tensors the caller holds keep their data and
+        gradients.  Calling ``backward`` again on a consumed graph, or on a
+        loss built on a consumed tensor, raises ``ContractError`` before
+        any gradient moves.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
-        if not self.requires_grad:
+        if self._node is None:
             raise ContractError("loss is not connected to any differentiable tensor")
 
-        order = _topo_order(self)
+        order = _topo_order(self._node)
         # an op's output always has parents until a backward consumes it
         if any(node._backward is not None and not node._parents for node in order):
             _consumed()
-        _accum(self, np.ones_like(self.data))
+        _accum(self._node, np.ones_like(self.data))
         while order:
             node = order.pop()
             if node._backward is not None:
@@ -221,11 +273,11 @@ def _consumed() -> None:
     raise ContractError("graph already consumed by an earlier backward()")
 
 
-def _topo_order(root: Tensor) -> list:
+def _topo_order(root: _Node) -> list:
     """Iterative post-order DFS; reversal gives exact reverse execution order."""
-    order: list[Tensor] = []
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -249,24 +301,30 @@ def _as_tensor(x, dtype) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple, bw) -> Tensor:
-    """Wrap an op result; when it needs a gradient, its ``_backward`` calls
-    ``bw`` on the output's gradient as it stands at that call."""
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires, _parents=parents if requires else ())
-    if requires:
-        out._backward = lambda: bw(out.grad)
+    """Wrap an op result.  When it needs a gradient, its node's
+    ``_backward`` calls ``bw(g, *nodes)``: ``g`` is the output's gradient
+    as it stands at that call, and ``nodes`` are the parents' nodes, None
+    for a parent that needs no gradient.  ``bw`` closes over the arrays it
+    reads, never over a tensor, and the ``_backward`` over the node, never
+    over the output."""
+    inputs = tuple(p._node for p in parents)
+    out = Tensor(data)
+    if _grad_enabled and any(n is not None for n in inputs):
+        node = out._node = _Node(tuple(n for n in inputs if n is not None))
+        node._backward = lambda: bw(node._grad, *inputs)
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` into ``t``'s gradient.  The first contribution is copied,
-    since ``g`` may be a view of another gradient, unless ``owned`` says
-    that the caller has just allocated ``g`` and shares it with nothing."""
-    if t.requires_grad:
-        if t._grad is None:
-            t._grad = g if owned else np.array(g)
+def _accum(node: _Node | None, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``node``'s gradient; nothing when ``node`` is None.
+    The first contribution is copied, since ``g`` may be a view of another
+    gradient, unless ``owned`` says that the caller has just allocated
+    ``g`` and shares it with nothing."""
+    if node is not None:
+        if node._grad is None:
+            node._grad = g if owned else np.array(g)
         else:
-            t._grad += g
+            node._grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -285,32 +343,35 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+    def bw(g, na, nb):
+        _accum(na, _unbroadcast(g, sa))
+        _accum(nb, _unbroadcast(g, sb))
 
     return _make(data, (a, b), bw)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
 
-    def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    def bw(g, na, nb):
+        _accum(na, _unbroadcast(g * bd, ad.shape))
+        _accum(nb, _unbroadcast(g * ad, bd.shape))
 
     return _make(data, (a, b), bw)
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    data = a.data / b.data
+    ad, bd = a.data, b.data
+    data = ad / bd
 
-    def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+    def bw(g, na, nb):
+        _accum(na, _unbroadcast(g / bd, ad.shape))
+        _accum(nb, _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
     return _make(data, (a, b), bw)
 
@@ -325,9 +386,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sub requires identical shapes, got {a.shape} and {b.shape}")
     data = a.data - b.data
 
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g, owned=True)
+    def bw(g, na, nb):
+        _accum(na, g)
+        _accum(nb, -g, owned=True)
 
     return _make(data, (a, b), bw)
 
@@ -335,39 +396,45 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     data = np.asarray(x.data.sum(), dtype=x.dtype)
+    shape = x.shape
 
-    def bw(g):
-        _accum(x, np.broadcast_to(g, x.data.shape))
+    def bw(g, nx):
+        _accum(nx, np.broadcast_to(g, shape))
 
     return _make(data, (x,), bw)
 
 
 def log(x: Tensor) -> Tensor:
-    data = np.log(x.data)
+    xd = x.data
+    data = np.log(xd)
 
-    def bw(g):
-        _accum(x, g / x.data, owned=True)
+    def bw(g, nx):
+        _accum(nx, g / xd, owned=True)
 
     return _make(data, (x,), bw)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is 1 where the input lies inside the band."""
-    data = np.clip(x.data, lo, hi)
+    xd = x.data
+    data = np.clip(xd, lo, hi)
 
-    def bw(g):
-        inside = ((x.data >= lo) & (x.data <= hi)).astype(x.dtype)
-        _accum(x, g * inside, owned=True)
+    def bw(g, nx):
+        inside = ((xd >= lo) & (xd <= hi)).astype(xd.dtype)
+        _accum(nx, g * inside, owned=True)
 
     return _make(data, (x,), bw)
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is 0."""
+    """max(x, 0); the subgradient at exactly 0 is 0.
+
+    The backward reads the output, not the input: ``out > 0`` is the mask
+    ``x > 0``, for signed zeros and NaN too, and the input can be freed."""
     data = np.maximum(x.data, 0)
 
-    def bw(g):
-        _accum(x, g * (x.data > 0), owned=True)
+    def bw(g, nx):
+        _accum(nx, g * (data > 0), owned=True)
 
     return _make(data, (x,), bw)
 
@@ -377,15 +444,15 @@ def sigmoid(x: Tensor) -> Tensor:
 
     In float32 the result saturates to exactly 1.0 for x >= 17 and to 0.0
     for x <= -104, so callers that take logs must clamp first (the loss
-    does).  NaN stays NaN.
+    does).  NaN stays NaN.  The backward reads the output only.
     """
     d = x.data
     e = np.exp(np.minimum(d, -d))  # exp(-|x|); -abs(x) would turn +NaN into -NaN
     data = np.where(d >= 0, 1.0, e)
     data /= e + 1.0
 
-    def bw(g):
-        _accum(x, g * data * (1.0 - data), owned=True)
+    def bw(g, nx):
+        _accum(nx, g * data * (1.0 - data), owned=True)
 
     return _make(data, (x,), bw)
 
@@ -473,7 +540,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     gradient is padded the same way, and tap (i, j) contributes
     W[:, :, i, j].T at offset (k-1-i)*Wp + (k-1-j), still in the order
     (0, 0) ... (k-1, k-1).  The weight gradient reads the padded output
-    gradient as Wp-wide rows whose junk columns are the zero padding.
+    gradient as Wp-wide rows whose junk columns are the zero padding,
+    against the input padded again: the forward's padded copy is not kept.
     """
     _require_4d(x, "conv2d")
     if weight.data.ndim != 4:
@@ -495,32 +563,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     wp = w + 2 * padding
     span = h * wp
     order = [(i, j) for i in range(kh) for j in range(kw)]
-    flat = _pad_flat(x.data, kh)
-    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (k, k, O, C)
+    xd, wd = x.data, weight.data
+    flat = _pad_flat(xd, kh)
+    taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # (k, k, O, C)
     pairs = [(taps[i, j], i * wp + j) for i, j in order]
     out_data = _shifted_taps(pairs, flat, h, w, wp, bias.data)
 
-    def bw(g):
-        _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
+    def bw(g, nx, nw, nb):
+        _accum(nb, g.sum(axis=(0, 2, 3)), owned=True)
         gflat = _pad_flat(g, kh)
         # g as Wp-wide rows: the right pad and the next row's left pad
         # are the zero junk columns
         start = padding * wp + padding
         gp = gflat[:, :, start : start + span]
-        if weight.requires_grad:
-            gw = np.empty_like(weight.data)
+        if nw is not None:
+            # the input padded again, not kept from the forward: a closure
+            # holding it would keep a copy of every input alive per call
+            flat = _pad_flat(xd, kh)
+            gw = np.empty_like(wd)
             for i, j in order:
                 off = i * wp + j
                 tap = flat[:, :, off : off + span].transpose(0, 2, 1)
                 gw[:, :, i, j] = np.matmul(gp, tap).sum(axis=0)
-            _accum(weight, gw, owned=True)
-        if x.requires_grad:
-            # the taps again, not kept from the forward: a closure holding
-            # them would keep a copy of every weight alive per call
+            flat = tap = None
+            _accum(nw, gw, owned=True)
+        if nx is not None:
+            # the taps again, for the same reason
             k = kh - 1
-            taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+            taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
             pairs = [(taps[i, j].T, (k - i) * wp + (k - j)) for i, j in order]
-            _accum(x, _shifted_taps(pairs, gflat, h, w, wp), owned=True)
+            _accum(nx, _shifted_taps(pairs, gflat, h, w, wp), owned=True)
 
     return _make(out_data, (x, weight, bias), bw)
 
@@ -571,26 +643,28 @@ def batchnorm2d(
     out_data *= gamma.data[None, :, None, None]
     out_data += beta.data[None, :, None, None]
 
-    def bw(g):
-        xhat = x.data - mean4
+    xd, gd = x.data, gamma.data
+
+    def bw(g, nx, ngamma, nbeta):
+        xhat = xd - mean4
         xhat *= inv4
         gsum = g.sum(axis=(0, 2, 3), keepdims=True)
         gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        _accum(gamma, gxsum.reshape(c), owned=True)
-        _accum(beta, gsum.reshape(c), owned=True)
-        if x.requires_grad:
-            scale = (gamma.data * inv)[None, :, None, None]
+        _accum(ngamma, gxsum.reshape(c), owned=True)
+        _accum(nbeta, gsum.reshape(c), owned=True)
+        if nx is not None:
+            scale = (gd * inv)[None, :, None, None]
             if mode == "eval":
-                _accum(x, g * scale, owned=True)
+                _accum(nx, g * scale, owned=True)
             else:
                 # scale * (g - gsum / m - xhat * gxsum / m), same order, in place
-                m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+                m = xd.shape[0] * xd.shape[2] * xd.shape[3]
                 dx = g - gsum / m
                 xhat *= gxsum
                 xhat /= m
                 dx -= xhat
                 dx *= scale
-                _accum(x, dx, owned=True)
+                _accum(nx, dx, owned=True)
 
     return _make(out_data, (x, gamma, beta), bw)
 
@@ -620,7 +694,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
     cols = np.maximum(d[..., 0::2], d[..., 1::2])
     out_data = np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
 
-    def bw(g):
+    def bw(g, nx):
         u = _UINT[g.dtype]
         gx = np.empty_like(d)
         taken = np.zeros(out_data.shape, dtype=bool)
@@ -634,7 +708,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
                 taken |= hit
             mask = np.negative(hit, dtype=u)  # True -> all ones
             np.bitwise_and(g.view(u), mask, out=gx.view(u)[:, :, a::2, b::2])
-        _accum(x, gx, owned=True)
+        _accum(nx, gx, owned=True)
 
     return _make(out_data, (x,), bw)
 
@@ -671,17 +745,17 @@ def upconv2x2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             grid[:, :, :, a, :, b] = blocks[:, :, a, b]
     out_data = grid.reshape(n, cout, 2 * h, 2 * w)
 
-    def bw(g):
-        _accum(bias, g.sum(axis=(0, 2, 3)), owned=True)
+    def bw(g, nx, nw, nb):
+        _accum(nb, g.sum(axis=(0, 2, 3)), owned=True)
         g4 = (
             g.reshape(n, cout, h, 2, w, 2)
             .transpose(0, 1, 3, 5, 2, 4)
             .reshape(n, cout * 4, h * w)
         )
         gw = np.matmul(x3, g4.transpose(0, 2, 1)).sum(axis=0)
-        _accum(weight, gw.reshape(cin, cout, 2, 2), owned=True)
-        if x.requires_grad:
-            _accum(x, np.matmul(w4, g4).reshape(n, cin, h, w), owned=True)
+        _accum(nw, gw.reshape(cin, cout, 2, 2), owned=True)
+        if nx is not None:
+            _accum(nx, np.matmul(w4, g4).reshape(n, cin, h, w), owned=True)
 
     return _make(out_data, (x, weight, bias), bw)
 
@@ -699,8 +773,8 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     c1 = sa[1]
     data = np.concatenate([a.data, b.data], axis=1)
 
-    def bw(g):
-        _accum(a, g[:, :c1])
-        _accum(b, g[:, c1:])
+    def bw(g, na, nb):
+        _accum(na, g[:, :c1])
+        _accum(nb, g[:, c1:])
 
     return _make(data, (a, b), bw)

@@ -14,6 +14,7 @@ tensors that the header's config gives, each once, in its shape and finite.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from collections.abc import Iterator
@@ -78,13 +79,15 @@ class TrainLog:
     records: list[TrainLogRecord] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["step", "loss", "bce", "dice", "burn_frac"])
-            for r in self.records:
-                writer.writerow(
-                    [r.step, repr(r.loss), repr(r.bce), repr(r.dice), repr(r.burn_frac)]
-                )
+        """Write the records as CSV; the write is whole-file atomic."""
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["step", "loss", "bce", "dice", "burn_frac"])
+        for r in self.records:
+            writer.writerow(
+                [r.step, repr(r.loss), repr(r.bce), repr(r.dice), repr(r.burn_frac)]
+            )
+        write_atomic(path, (text.getvalue().encode(),))
 
 
 # -- Adam ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """End-to-end subcommand behavior: files, formats, exit codes, manifests."""
 
 import csv
+import errno
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffnet import cli
 from diffnet.cli import CONFUSION_COLORS, build_parser, main, render_confusion, write_manifest
 from diffnet.data import (
     SceneParams,
@@ -561,21 +564,75 @@ def test_manifest_onto_an_input_or_output_is_usage_error(tmp_path, capsys, argv,
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
-@pytest.mark.parametrize("subcommand", ["predict", "train"])
-def test_output_onto_a_directory_leaves_no_temp_file(tmp_path, subcommand):
-    """A checkpoint or mask whose rename onto ``--out`` fails is exit 3,
-    and its temp file is removed."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--checkpoint", "{ckpt}", "--tile", "{tile}", "--out", "{out}"],
+        ["train", "--data-dir", "{data}", "--steps", "1", "--out", "{out}"],
+        ["train", "--data-dir", "{data}", "--steps", "1", "--out", "{ckpt}", "--log-csv", "{out}"],
+        ["eval", "--pred", "{pred}", "--truth", "{tile}", "--out", "{out}"],
+        ["render", "--pred", "{pred}", "--truth", "{tile}", "--out", "{out}"],
+    ],
+    ids=["predict", "train", "train-log", "eval", "render"],
+)
+def test_output_onto_a_directory_leaves_no_temp_file(tmp_path, capsys, monkeypatch, argv):
+    """The last flag names a directory: exit 3, naming flag and path,
+    before ``train()`` or ``predict()`` runs, and no temp file is left."""
     data = run_gen(tmp_path, count=1)
-    out = tmp_path / "out"
-    out.mkdir()
-    if subcommand == "predict":
-        argv = ["predict", "--checkpoint", str(run_train(tmp_path, data, steps=1)),
-                "--tile", str(data / "tile_00000.btt"), "--out", str(out)]
-    else:
-        argv = ["train", "--data-dir", str(data), "--out", str(out), "--base-width", "4",
-                "--steps", "1", "--patch-size", "32"]
+    paths = {
+        "data": data,
+        "tile": data / "tile_00000.btt",
+        "ckpt": tmp_path / "m.sunc",
+        "pred": tmp_path / "p.btm",
+        "out": tmp_path / "out",
+    }
+    paths["out"].mkdir()
+    model = init_model(ModelConfig(in_channels=2, base_width=4), 0)
+    save_checkpoint(checkpoint_from_model(model), paths["ckpt"])
+    write_mask(read_tile(paths["tile"]).mask, paths["pred"])
+    ran = []
+    monkeypatch.setattr(cli, "train", lambda *args: ran.append("train"))
+    monkeypatch.setattr(cli, "predict", lambda *args, **kwargs: ran.append("predict"))
+    argv = [a.format(**paths) for a in argv]
     assert main(argv) == 3
+    assert f"error: {argv[-2]} {argv[-1]} is a directory" in capsys.readouterr().err
+    assert not ran
     assert not list(tmp_path.rglob("*.tmp")) and not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["eval", "--pred", "{pred}", "--truth", "{tile}", "--out", "{dir}/e.csv"], "e.csv"),
+        (["eval", "--pred", "{pred}", "--truth", "{tile}", "--out", "{dir}/e.csv"],
+         "e.csv.manifest.json"),
+        (["render", "--pred", "{pred}", "--truth", "{tile}", "--out", "{dir}/o.ppm"], "o.ppm"),
+        (["train", "--data-dir", "{data}", "--out", "{dir}/m.sunc", "--base-width", "4",
+          "--steps", "1", "--patch-size", "32"], "m.sunc.log.csv"),
+    ],
+    ids=["eval", "manifest", "render", "train-log"],
+)
+def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, argv, target):
+    """Every output is written to a temp file and renamed over the old one:
+    when the rename fails, the old file is left whole and the temp file is
+    removed."""
+    data = run_gen(tmp_path, count=1)
+    paths = {"data": data, "tile": data / "tile_00000.btt", "pred": tmp_path / "p.btm",
+             "dir": tmp_path}
+    write_mask(read_tile(paths["tile"]).mask, paths["pred"])
+    old = tmp_path / target
+    old.write_bytes(b"old")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == old:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main([a.format(**paths) for a in argv]) == 3
+    assert old.read_bytes() == b"old"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestUsage:

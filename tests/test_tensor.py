@@ -417,8 +417,8 @@ def model_loss_after_backward(model, scene):
 
 
 def graph_nodes(root):
-    """Every distinct tensor reachable from ``root`` through its parents."""
-    nodes, todo, seen = [], [root], set()
+    """Every distinct graph node reachable from ``root``'s node through parents."""
+    nodes, todo, seen = [], [root._node], set()
     while todo:
         node = todo.pop()
         if id(node) not in seen:
@@ -506,6 +506,33 @@ class TestBackward:
         tsum(mul(h, 3.0)).backward()
         assert np.array_equal(h.data, data)
         assert np.array_equal(h.grad, np.full((3, 4), 3.0, np.float32))
+
+    @pytest.mark.parametrize("producer", ["batchnorm2d", "upconv2x2"])
+    def test_an_output_no_backward_reads_is_freed_before_backward(self, rng, producer):
+        """relu's backward reads its own output and concat_channels' none of
+        its inputs, and graph edges hold nodes, not tensors: so with the
+        cyclic collector off, the data of a batchnorm2d output under relu,
+        or of an upconv2x2 output under concat_channels, is freed as soon as
+        the caller drops it."""
+        x = Tensor(randn(rng, 2, 3, 4, 4), requires_grad=True)
+        a, b = (Tensor(randn(rng, 3), requires_grad=True) for _ in range(2))
+        if producer == "batchnorm2d":
+            mid = batchnorm2d(x, a, b, np.zeros(3, np.float32), np.ones(3, np.float32), "train")
+            consume = relu
+        else:
+            mid = upconv2x2(x, Tensor(randn(rng, 3, 3, 2, 2), requires_grad=True), b)
+            skip = Tensor(randn(rng, 2, 2, 8, 8), requires_grad=True)
+            consume = lambda t: concat_channels(t, skip)
+        freed = weakref.ref(mid.data)
+        gc.disable()
+        try:
+            loss = tsum(mul(consume(mid), Tensor(randn(rng, 2, 1, 1, 1))))
+            del mid
+            assert freed() is None
+        finally:
+            gc.enable()
+        loss.backward()
+        assert np.any(x.grad != 0)
 
 
 def _f64(*shape, low=None):
@@ -723,6 +750,25 @@ def test_conv2d_input_gradient_holds_one_block_of_temporaries(rng):
     padded = n * c * ((h + 2) * (w + 2) + 2) * 4
     assert h * (w + 2) >= 2 * _BLOCK
     assert peak <= padded + x.grad.nbytes + 2 * block_bytes(n, c, h, w, 3) + SLACK
+
+
+def test_conv2d_with_grad_keeps_no_more_than_its_output(rng):
+    """Its backward pads the input again, so a 3x3 conv2d that records a
+    graph keeps no padded copy of its input past the forward."""
+    n, c, h, w = 1, 8, 256, 256
+    x, wt, b = (
+        Tensor(a, requires_grad=True)
+        for a in (randn(rng, n, c, h, w), randn(rng, c, c, 3, 3), randn(rng, c))
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, wt, b)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept <= out.data.nbytes + SLACK
 
 
 @pytest.mark.parametrize("mode", ["eval", "train"])

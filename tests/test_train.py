@@ -241,9 +241,11 @@ class TestTrainLoop:
 
     def test_backward_peak_stays_near_the_forward(self):
         """One train-mode forward and hybrid loss at the acceptance config:
-        backward() frees each activation once its consumers have run back,
-        so at its peak it holds under a quarter more than the forward left
-        live.  Keeping the whole graph to the end took +7.8 over 13.1 MiB."""
+        the graph keeps only the arrays its backwards read, so the forward
+        leaves under 8 MiB live (11.97 MiB when graph edges held tensors),
+        and backward() frees each activation once its consumers have run
+        back, so at its peak it holds under a quarter more than that.
+        Keeping the whole graph to the end took +7.8 over 13.1 MiB."""
         tiles = [generate_scene(SceneParams(channels=8, size=(64, 64)), seed=s) for s in range(4)]
         model = init_model(ModelConfig(in_channels=8, base_width=8), seed=0)
         pre, post = (Tensor(np.stack([getattr(t, k) for t in tiles])) for k in ("pre", "post"))
@@ -258,6 +260,7 @@ class TestTrainLoop:
             peak = tracemalloc.get_traced_memory()[1] - live
         finally:
             tracemalloc.stop()
+        assert live < 8 << 20, f"{live / 2**20:.2f} MiB"
         assert peak < live / 4, f"+{peak / 2**20:.1f} over {live / 2**20:.1f} MiB"
 
     def test_config_validation(self):
