@@ -12,9 +12,7 @@ when no ``--seed`` flag is given.  Seeds are integers >= 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import stat
@@ -30,6 +28,7 @@ from .data import (
     read_mask,
     read_tile,
     write_atomic,
+    write_csv,
     write_mask,
     write_tile,
 )
@@ -104,6 +103,16 @@ def _pos_weight(text: str) -> str:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
+
+
+def _threshold(text: str) -> float:
+    """An argparse type: a number in [0, 1), the range ``predict()`` takes."""
+    try:
+        if 0.0 <= float(text) < 1.0:  # false for NaN
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
 
 
 def resolve_seed(flag_value: int | None) -> int:
@@ -207,9 +216,7 @@ def cmd_gen(args) -> int:
         confuser_blobs=args.confuser_blobs,
         noise_sigma=args.noise_sigma,
     )
-    params.validate()  # before the output directory is made
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i in range(args.count):
         tile = generate_scene(params, seed=args.seed + i)
@@ -249,8 +256,6 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     log_csv = Path(args.log_csv)
-    for path in (out, log_csv):
-        path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
     log.to_csv(log_csv)
     write_manifest(args, tile_paths, [out, log_csv])
@@ -269,7 +274,6 @@ def cmd_predict(args) -> int:
     model = model_from_checkpoint(ckpt)
     mask = predict(model, tile, threshold=args.threshold)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_mask(mask, out)
     write_manifest(args, [args.checkpoint, args.tile], [out])
     return EXIT_OK
@@ -294,14 +298,10 @@ def cmd_eval(args) -> int:
         rows.append((Path(pred_path).stem, metrics))
     mean_set, std_set = aggregate([m for _, m in rows])
 
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["site", *METRIC_NAMES])
-    for site, m in rows + [("mean", mean_set), ("std", std_set)]:
-        writer.writerow([site, *(f"{v:.6f}" for v in m.as_tuple())])
+    table = [(site, *(f"{v:.6f}" for v in m.as_tuple()))
+             for site, m in rows + [("mean", mean_set), ("std", std_set)]]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(out, (text.getvalue().encode(),))
+    write_csv(out, [("site", *METRIC_NAMES), *table], lineterminator="\n")
     write_manifest(args, args.pred + args.truth, [out])
     return EXIT_OK
 
@@ -311,7 +311,6 @@ def cmd_render(args) -> int:
     pred = _load_any_mask(Path(args.pred))
     truth = _load_any_mask(Path(args.truth))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     render_confusion(pred, truth, out)
     write_manifest(args, [args.pred, args.truth], [out])
     return EXIT_OK
@@ -366,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="binarized change mask for one tile")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tile", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_threshold, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

@@ -7,9 +7,9 @@ The on-disk BTT1 format is bit-exact: 4-byte magic ``BTT1``, three
 little-endian uint32 (C, H, W), the pre array as C*H*W little-endian
 float32 row-major, the post array likewise, then the mask as H*W bytes.
 A BTM1 mask file is magic ``BTM1``, uint32 H and W, then the H*W mask
-bytes.  No padding, no checksum.  Both formats, and the SUNC checkpoints
-of ``train.py``, are read through one bounded reader and written through
-one atomic writer.
+bytes.  No padding, no checksum.  Both formats and the SUNC checkpoints
+of ``train.py`` are read through one bounded reader; they, the CSVs and
+every other output are written through one atomic writer.
 
 The scene generator is a desk-scale stand-in for annual embedding tiles:
 smooth per-channel value-noise fields, elliptical burn scars that shift
@@ -19,6 +19,8 @@ shift only a small channel subset.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 import struct
@@ -182,11 +184,12 @@ class ByteReader:
 
 
 def write_atomic(path, chunks) -> None:
-    """Write the chunks whole-file atomically: a temp file beside ``path``,
-    then a rename, so no reader ever sees a partial file.  A chunk is
-    ``bytes`` or a C-contiguous array, written through its buffer.  If the
-    write or the rename raises, the temp file is removed before the error
-    propagates."""
+    """Write the chunks whole-file atomically, making ``path``'s directory if
+    it is missing: a temp file beside ``path``, then a rename, so no reader
+    ever sees a partial file.  A chunk is ``bytes`` or a C-contiguous array,
+    written through its buffer.  If the write or the rename raises, the temp
+    file is removed before the error propagates."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     f = open(tmp, "wb")
     try:
@@ -196,6 +199,14 @@ def write_atomic(path, chunks) -> None:
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_csv(path, rows, lineterminator: str = "\r\n") -> None:
+    """Write the rows as CSV, quoted by the ``csv`` module's default rules
+    and each ended by ``lineterminator``; the write is whole-file atomic."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator=lineterminator).writerows(rows)
+    write_atomic(path, (text.getvalue().encode(),))
 
 
 def write_tile(tile: BitemporalTile, path) -> None:
@@ -302,23 +313,12 @@ def _ellipse_mask(rng: np.random.Generator, h: int, w: int, area: float) -> np.n
     return mask
 
 
-def _signed_offsets(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    """Per-channel constants with magnitude in [0.5, 1.5] * scale and random sign."""
+def _offsets(rng: np.random.Generator, n: int, scale: float, sign=None) -> np.ndarray:
+    """Per-channel constants with magnitude in [0.5, 1.5] * scale, times
+    ``sign``; with no ``sign``, random signs are drawn after the magnitudes."""
     mag = rng.uniform(0.5, 1.5, size=n) * scale
-    sign = rng.choice((-1.0, 1.0), size=n)
-    return (mag * sign).astype(np.float32)
-
-
-def _burn_offsets(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    """Per-scene burn shift: magnitudes in [0.5, 1.5] * scale drawn per scene,
-    signs alternating by channel index.
-
-    The fixed sign pattern models a burn signature whose spectral direction
-    is consistent across scenes while its severity varies; confusers use
-    fully random directions, so direction is what separates the classes.
-    """
-    mag = rng.uniform(0.5, 1.5, size=n) * scale
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    if sign is None:
+        sign = rng.choice((-1.0, 1.0), size=n)
     return (mag * sign).astype(np.float32)
 
 
@@ -347,7 +347,10 @@ def generate_scene(params: SceneParams, seed: int) -> BitemporalTile:
             scar |= _ellipse_mask(rng, h, w, blob_area)
 
     drift = (rng.standard_normal(c) * params.seasonal_drift_scale).astype(np.float32)
-    burn = _burn_offsets(rng, c, params.burn_offset_scale)
+    # One fire direction in channel space: signs alternate by channel in every
+    # scene, while the severity is drawn per scene.  Confusers take random
+    # signs, so direction is what separates the classes.
+    burn = _offsets(rng, c, params.burn_offset_scale, np.where(np.arange(c) % 2, -1.0, 1.0))
 
     post = pre + drift[:, None, None]
     post[:, scar] += burn[:, None]
@@ -360,7 +363,7 @@ def generate_scene(params: SceneParams, seed: int) -> BitemporalTile:
         for _ in range(params.confuser_blobs):
             area = params.burn_fraction_target * h * w / max(params.n_scar_blobs, 2)
             blob = _ellipse_mask(rng, h, w, area * rng.uniform(0.4, 1.0))
-            offs = _signed_offsets(rng, n_ch, params.burn_offset_scale)
+            offs = _offsets(rng, n_ch, params.burn_offset_scale)
             post[chans[:, None], blob] += offs[:, None]
 
     if params.noise_sigma > 0:

@@ -160,6 +160,8 @@ class Tensor:
 
     @grad.setter
     def grad(self, value):
+        if self._node is None:
+            raise ContractError("cannot set grad: this tensor does not require a gradient")
         self._node._grad = value
 
     @property

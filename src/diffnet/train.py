@@ -13,8 +13,6 @@ tensors that the header's config gives, each once, in its shape and finite.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import struct
 from collections.abc import Iterator
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NODATA, BitemporalTile, ByteReader, write_atomic
+from .data import NODATA, BitemporalTile, ByteReader, write_atomic, write_csv
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -79,15 +77,12 @@ class TrainLog:
     records: list[TrainLogRecord] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        """Write the records as CSV; the write is whole-file atomic."""
-        text = io.StringIO()
-        writer = csv.writer(text)
-        writer.writerow(["step", "loss", "bce", "dice", "burn_frac"])
-        for r in self.records:
-            writer.writerow(
-                [r.step, repr(r.loss), repr(r.bce), repr(r.dice), repr(r.burn_frac)]
-            )
-        write_atomic(path, (text.getvalue().encode(),))
+        """Write the records as CSV with CRLF line ends; the write is
+        whole-file atomic."""
+        header = ["step", "loss", "bce", "dice", "burn_frac"]
+        rows = [[r.step, repr(r.loss), repr(r.bce), repr(r.dice), repr(r.burn_frac)]
+                for r in self.records]
+        write_csv(path, [header, *rows])
 
 
 # -- Adam ---------------------------------------------------------------------

@@ -19,6 +19,7 @@ from diffnet.data import (
     generate_scene,
     read_mask,
     read_tile,
+    write_csv,
     write_mask,
     write_tile,
 )
@@ -266,6 +267,105 @@ class TestTrain:
         assert rc == 3
         assert "tile 2 has 3 channels, model expects 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+TRAIN_SMALL = ["--base-width", "4", "--steps", "1", "--patch-size", "32"]
+
+
+class TestOutputDirectories:
+    """Every output is written through ``data.write_atomic``, which makes
+    the output's missing directories; a command that fails before it
+    writes makes none."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        data = run_gen(tmp_path, count=1)
+        tile = data / "tile_00000.btt"
+        pred = tmp_path / "p.btm"
+        write_mask(read_tile(tile).mask, pred)
+        ckpt = tmp_path / "m.sunc"
+        save_checkpoint(checkpoint_from_model(init_model(ModelConfig(2, 4), 0)), ckpt)
+        return {"data": data, "tile": tile, "pred": pred, "ckpt": ckpt, "new": tmp_path / "new"}
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["gen", "--out-dir", "{new}/a/b", "--count", "2"] + GEN_SMALL,
+             ["a/b/tile_00000.btt", "a/b/tile_00001.btt", "a/b/manifest.json"]),
+            (["train", "--data-dir", "{data}", "--out", "{new}/a/m.sunc",
+              "--log-csv", "{new}/logs/run.csv"] + TRAIN_SMALL,
+             ["a/m.sunc", "logs/run.csv", "a/m.sunc.manifest.json"]),
+            (["predict", "--checkpoint", "{ckpt}", "--tile", "{tile}", "--out", "{new}/a/p.btm"],
+             ["a/p.btm", "a/p.btm.manifest.json"]),
+            (["eval", "--pred", "{pred}", "--truth", "{tile}", "--out", "{new}/a/m.csv"],
+             ["a/m.csv", "a/m.csv.manifest.json"]),
+            (["render", "--pred", "{pred}", "--truth", "{tile}", "--out", "{new}/a/o.ppm"],
+             ["a/o.ppm", "a/o.ppm.manifest.json"]),
+        ],
+        ids=["gen", "train", "predict", "eval", "render"],
+    )
+    def test_subcommand_makes_missing_directories(self, paths, argv, outputs):
+        assert main([a.format(**paths) for a in argv]) == 0
+        new = paths["new"]
+        assert sorted(str(p.relative_to(new)) for p in new.rglob("*") if p.is_file()) == sorted(outputs)
+
+    def test_api_writers_make_missing_directories(self, tmp_path):
+        tile = generate_scene(SceneParams(channels=2, size=(16, 16)), seed=0)
+        ckpt = checkpoint_from_model(init_model(ModelConfig(2, 4), 0))
+        root = tmp_path / "x"
+        write_tile(tile, root / "t" / "s.btt")
+        write_mask(tile.mask, root / "m" / "s.btm")
+        save_checkpoint(ckpt, root / "c" / "m.sunc")
+        write_csv(root / "csv" / "r.csv", [["a", "b"], [1, "x,y"]])
+        assert np.array_equal(read_tile(root / "t" / "s.btt").post, tile.post)
+        assert np.array_equal(read_mask(root / "m" / "s.btm"), tile.mask)
+        assert load_checkpoint(root / "c" / "m.sunc").params.keys() == ckpt.params.keys()
+        assert (root / "csv" / "r.csv").read_bytes() == b'a,b\r\n1,"x,y"\r\n'
+        assert not list(root.rglob("*.tmp"))
+
+    def test_bare_output_names_write_to_the_working_directory(self, paths, monkeypatch):
+        work = paths["new"]
+        work.mkdir()
+        monkeypatch.chdir(work)
+        site = ["--pred", str(paths["pred"]), "--truth", str(paths["tile"])]
+        for argv in (
+            ["train", "--data-dir", str(paths["data"]), "--out", "m.sunc"] + TRAIN_SMALL,
+            ["predict", "--checkpoint", str(paths["ckpt"]), "--tile", str(paths["tile"]),
+             "--out", "p.btm"],
+            ["eval", *site, "--out", "m.csv"],
+            ["render", *site, "--out", "o.ppm"],
+        ):
+            assert main(argv) == 0, argv[0]
+        write_csv("r.csv", [["a"]])
+        assert sorted(p.name for p in work.iterdir()) == [
+            "m.csv", "m.csv.manifest.json", "m.sunc", "m.sunc.log.csv",
+            "m.sunc.manifest.json", "o.ppm", "o.ppm.manifest.json", "p.btm",
+            "p.btm.manifest.json", "r.csv",
+        ]
+        manifest = json.loads(Path("m.sunc.manifest.json").read_text())
+        assert manifest["outputs"] == ["m.sunc", "m.sunc.log.csv"]
+
+    @pytest.mark.parametrize(
+        "argv, rc",
+        [
+            (["predict", "--checkpoint", "{ckpt}", "--tile", "{bad}", "--out", "{new}/p.btm"], 3),
+            (["predict", "--checkpoint", "{ckpt}", "--tile", "{tile}", "--threshold", "1.5",
+              "--out", "{new}/p.btm"], 2),
+            (["train", "--data-dir", "{bad_dir}", "--out", "{new}/m.sunc"] + TRAIN_SMALL, 3),
+            (["gen", "--out-dir", "{new}/a", "--burn-fraction", "1.5"] + GEN_SMALL, 2),
+            (["eval", "--pred", "{bad}", "--truth", "{tile}", "--out", "{new}/m.csv"], 3),
+            (["render", "--pred", "{pred}", "--truth", "{bad}", "--out", "{new}/o.ppm"], 3),
+        ],
+        ids=["predict-bad-tile", "predict-threshold", "train-bad-tile", "gen-bad-params",
+             "eval-bad-pred", "render-bad-truth"],
+    )
+    def test_failure_before_writing_makes_no_directory(self, paths, tmp_path, argv, rc):
+        bad_dir = tmp_path / "bad"
+        bad_dir.mkdir()
+        (bad_dir / "tile_00000.btt").write_bytes(b"garbage")
+        paths = {**paths, "bad": bad_dir / "tile_00000.btt", "bad_dir": bad_dir}
+        assert main([a.format(**paths) for a in argv]) == rc
+        assert not paths["new"].exists()
 
 
 class TestPredict:
@@ -843,6 +943,27 @@ class TestMalformedInputs:
         path.write_bytes(path.read_bytes()[:-1])
         assert predict_rc(ckpt, tile, tmp_path) == 3
         assert f"error: {path}: truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "-0.1", "1", "inf", "half"])
+    def test_threshold_out_of_range_is_usage_error(self, tmp_path, capsys, value):
+        """``--threshold`` is checked when the flags are parsed: exit 2
+        naming the flag, before the checkpoint or the malformed tile is read."""
+        garbage = tmp_path / "garbage"
+        garbage.write_bytes(b"garbage")
+        out = tmp_path / "p.btm"
+        rc = main(["predict", "--checkpoint", str(garbage), "--tile", str(garbage),
+                   "--threshold", value, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"argument --threshold: expected a number in [0, 1), got '{value}'" in err
+        assert not list(tmp_path.glob("p.btm*"))
+
+    def test_threshold_is_still_checked_by_predict(self):
+        model = init_model(ModelConfig(2, 4), 0)
+        tile = generate_scene(SceneParams(channels=2, size=(32, 32)), seed=0)
+        for value in (1.5, float("nan")):
+            with pytest.raises(ConfigError, match="threshold must lie in"):
+                predict(model, tile, threshold=value)
 
     def test_mask_byte_outside_domain(self, tmp_path, capsys):
         tile = run_gen(tmp_path, count=1) / "tile_00000.btt"

@@ -450,6 +450,18 @@ class TestBackward:
         tsum(mul(x, 3.0)).backward()
         assert np.array_equal(y.grad, np.zeros((2, 2), np.float32))
 
+    def test_setting_grad_without_requires_grad_rejected(self, rng):
+        """A tensor that needs no gradient has no node to hold one: setting
+        ``grad`` is a ContractError saying so, and ``grad`` still reads None."""
+        x = Tensor(randn(rng, 2, 2))
+        with pytest.raises(ContractError, match="does not require a gradient"):
+            x.grad = np.ones((2, 2), np.float32)
+        assert x.grad is None
+        with no_grad():
+            y = Tensor(randn(rng, 2, 2), requires_grad=True)
+        with pytest.raises(ContractError, match="does not require a gradient"):
+            y.grad = np.ones((2, 2), np.float32)
+
     def test_grad_sums_over_consumers(self, rng):
         x = Tensor(randn(rng, 2, 2), requires_grad=True)
         tsum(mul(x, 2.0) + mul(x, 3.0)).backward()
