@@ -73,9 +73,6 @@ NOTES = (
     "each target before its rename (not adopted: it drops that flush) raised "
     "throughput from 91-94 to 106-115 item/s and cut raw op_ms p99 from "
     "14-15 to 12-13 ms, so the disk's load moves this workload.",
-    "predict-512 setup_s depended on the heap the ops leave behind until "
-    "diffnet.tensor pinned glibc's mmap and trim thresholds; compare it only "
-    "between records that both have the pin.",
 )
 
 

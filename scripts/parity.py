@@ -16,13 +16,14 @@ and overlay file bytes.  Run it on two commits and diff:
     PYTHONPATH=src python scripts/parity.py > after.txt
 
 The output opens with the machine key, ``# field: value`` lines naming the
-CPU model and the Python, numpy and BLAS versions, since float digests may
-differ across these.  ``tests/test_parity.py`` checks the output against
-``tests/golden/parity.txt``, which is regenerated with:
+CPU model, the Python, numpy and BLAS versions and the BLAS core, since
+float digests may differ across these.  ``tests/test_parity.py`` checks the
+output against ``tests/golden/parity.txt``, which is regenerated with:
 
     PYTHONPATH=src python scripts/parity.py > tests/golden/parity.txt
 """
 
+import ctypes
 import hashlib
 import platform
 import sys
@@ -95,6 +96,16 @@ def digests():
             yield f"cli.{name}.64x64", hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def blas_core() -> str:
+    """The kernel set numpy's OpenBLAS chose for this CPU or as ``OPENBLAS_CORETYPE`` forced."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, symbol):  # char *corename(void)
+                return ctypes.CFUNCTYPE(ctypes.c_char_p)((symbol, lib))().decode()
+    return "unknown"
+
+
 def machine_key() -> dict[str, str]:
     cpu = platform.processor() or "unknown"
     try:
@@ -110,7 +121,8 @@ def machine_key() -> dict[str, str]:
     except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
         blas = "unknown"
     python = "%d.%d" % sys.version_info[:2]
-    return {"cpu": cpu, "python": python, "numpy": np.__version__, "blas": blas}
+    key = {"cpu": cpu, "python": python, "numpy": np.__version__, "blas": blas}
+    return key | {"blas_core": blas_core()}
 
 
 def lines():

@@ -23,10 +23,12 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    HEADER,
     SceneParams,
     generate_scene,
     read_mask,
     read_tile,
+    refuse_nonfinite,
     write_atomic,
     write_csv,
     write_mask,
@@ -239,7 +241,6 @@ def cmd_train(args) -> int:
         loss=LossConfig(alpha=args.alpha, pos_weight=pos_weight, dice_eps=args.dice_eps),
         log_every=args.log_every,
     )
-    cfg.validate()  # before any tile is read
     data_dir = Path(args.data_dir)
     tile_paths = sorted(data_dir.glob("*.btt"))
     if not tile_paths:
@@ -267,10 +268,7 @@ def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)  # refuses NaN/Inf tensors itself
     tile = read_tile(args.tile)
     # a NaN or Inf in the images would come out as an all-zero mask
-    for name, arr in (("pre", tile.pre), ("post", tile.post)):
-        bad = arr.size - np.count_nonzero(np.isfinite(arr))
-        if bad:
-            raise TileFormatError(f"{args.tile}: {name} holds {bad} non-finite value(s)")
+    refuse_nonfinite(args.tile, HEADER.size, TileFormatError, {"pre": tile.pre, "post": tile.post})
     model = model_from_checkpoint(ckpt)
     mask = predict(model, tile, threshold=args.threshold)
     out = Path(args.out)

@@ -87,7 +87,7 @@ class SceneParams:
     confuser_blobs: int = 2
     noise_sigma: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if min(self.size) < 8:
@@ -181,6 +181,18 @@ class ByteReader:
     def end(self) -> None:
         if self.off != len(self.view):
             self.fail(f"{len(self.view) - self.off} trailing bytes", self.off)
+
+
+def refuse_nonfinite(path, start: int, error, arrays: dict) -> None:
+    """Raise ``error`` at the first of ``arrays``, laid end to end from byte
+    ``start`` of ``path``, that holds a NaN or Inf, naming how many and the
+    byte of the first as the readers do; min and max find one cheaply."""
+    for name, arr in arrays.items():
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            raise error(f"{path}: {name} holds {bad.size} non-finite value(s), "
+                        f"the first at byte {start + arr.itemsize * int(bad[0])}")
+        start += arr.nbytes
 
 
 def write_atomic(path, chunks) -> None:
@@ -331,7 +343,6 @@ def generate_scene(params: SceneParams, seed: int) -> BitemporalTile:
     in random directions and stay unlabeled, which is what keeps the
     detection task non-trivial.
     """
-    params.validate()
     rng = np.random.default_rng(np.random.PCG64(seed))
     c = params.channels
     h, w = params.size

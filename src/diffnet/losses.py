@@ -32,7 +32,7 @@ class LossConfig:
     pos_weight: float | None = None
     dice_eps: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.pos_weight is not None and not 0 < self.pos_weight < math.inf:
@@ -94,7 +94,6 @@ def dice_loss(probs: Tensor, target, eps: float = 1.0) -> Tensor:
 def hybrid_loss(probs: Tensor, target, cfg: LossConfig) -> Tensor:
     """alpha * weighted_bce + (1 - alpha) * dice_loss, both built at every
     alpha: the ops, in the order, of ``train.train``, so equal bit for bit."""
-    cfg.validate()
     w = cfg.pos_weight if cfg.pos_weight is not None else auto_pos_weight(target)
     bce = weighted_bce(probs, target, w)
     return cfg.alpha * bce + (1.0 - cfg.alpha) * dice_loss(probs, target, cfg.dice_eps)

@@ -25,10 +25,6 @@ class ConfusionCounts:
     fn: int
     nodata_skipped: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn + self.nodata_skipped
-
 
 @dataclass(frozen=True)
 class MetricSet:

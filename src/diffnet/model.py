@@ -43,7 +43,7 @@ class ModelConfig:
     in_channels: int = 64
     base_width: int = 32
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.in_channels < 1:
             raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.base_width < 4:
@@ -179,7 +179,6 @@ def init_model(config: ModelConfig, seed: int) -> SiameseUNet:
     canonical parameter order, and are rounded to float32; biases start at
     zero, batch-norm gamma at one and beta at zero, running stats at (0, 1).
     """
-    config.validate()
     rng = np.random.default_rng(np.random.PCG64(seed))
     params: dict[str, Tensor] = {}
     for name, shape, fan_in in _param_specs(config):

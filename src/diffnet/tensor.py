@@ -184,10 +184,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -228,9 +224,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(_as_tensor(other, self.dtype), self)
-
-    def sum(self) -> "Tensor":
-        return tsum(self)
 
     def backward(self) -> None:
         """Propagate d(self)/d(tensor) to every reachable tensor.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NODATA, BitemporalTile, ByteReader, write_atomic, write_csv
+from .data import NODATA, BitemporalTile, ByteReader, refuse_nonfinite, write_atomic, write_csv
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -49,7 +49,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     log_every: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 < self.lr < math.inf and 0 < self.adam_eps < math.inf):
             raise ConfigError("lr and adam_eps must be positive")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
@@ -60,7 +60,6 @@ class TrainConfig:
             raise ConfigError(
                 f"patch_size must be a positive multiple of {DIVISOR}, got {self.patch_size}"
             )
-        self.loss.validate()
 
 
 @dataclass
@@ -233,7 +232,6 @@ def load_checkpoint(path) -> Checkpoint:
         config = ModelConfig(
             in_channels=header["in_channels"], base_width=header["base_width"]
         )
-        config.validate()
         step = header["step"]
     except KeyError as e:
         r.fail(f"header missing key {e}", at)
@@ -260,11 +258,7 @@ def load_checkpoint(path) -> Checkpoint:
         data = r.array("<f4", dims, f"data of {name!r}")
         if dims != shapes[name]:
             r.fail(f"tensor {name!r} has shape {dims}, config expects {shapes[name]}", at)
-        # min and max carry any NaN or Inf out, with no full-size mask
-        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-            bad = np.flatnonzero(~np.isfinite(data))
-            at = r.off - data.nbytes + 4 * int(bad[0])
-            r.fail(f"{name} holds {bad.size} non-finite value(s), the first", at)
+        refuse_nonfinite(path, r.off - data.nbytes, CheckpointFormatError, {name: data})
         tensors[name] = data
     missing = [k for k in shapes if k not in tensors]
     if missing:
@@ -315,7 +309,6 @@ def train(
     Deterministic in (model init, cfg.seed).  A non-finite loss aborts with
     the failing step and the last finite loss value.
     """
-    cfg.validate()
     if not tiles:
         raise ContractError("train requires at least one tile")
     c, ps = model.config.in_channels, cfg.patch_size

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffnet import cli
+from diffnet import __version__, cli
 from diffnet.cli import CONFUSION_COLORS, build_parser, main, render_confusion, write_manifest
 from diffnet.data import (
     SceneParams,
@@ -155,7 +155,7 @@ def test_non_finite_setting_is_usage_error(tmp_path, make, flag, value):
     """Every comparison with NaN is false, so each range check is written
     to pass only a finite value in range; the CLI exits 2 and writes nothing."""
     with pytest.raises(ConfigError):
-        make(float(value)).validate()
+        make(float(value))
     if flag is None:
         return
     if flag[0] == "gen":
@@ -817,6 +817,18 @@ class TestUsage:
                 assert recorded[flag] == value and type(recorded[flag]) is type(value), flag
 
 
+def test_manifest_bytes(tmp_path):
+    """Two-space indent, keys sorted at every level, one trailing newline."""
+    out = tmp_path / "o.ppm"
+    argv = ["render", "--pred", "p.btm", "--truth", "t.btt", "--out", str(out)]
+    write_manifest(build_parser().parse_args(argv), ["p.btm", "t.btt"], [out])
+    assert Path(f"{out}.manifest.json").read_text() == (
+        '{\n  "args": {\n    "out": %s,\n    "pred": "p.btm",\n    "truth": "t.btt"\n  },\n'
+        '  "inputs": [\n    "p.btm",\n    "t.btt"\n  ],\n  "outputs": [\n    %s\n  ],\n'
+        '  "subcommand": "render",\n  "tool_version": "%s"\n}\n'
+    ) % (json.dumps(str(out)), json.dumps(str(out)), __version__)
+
+
 def predict_rc(ckpt, tile, tmp_path):
     return main(["predict", "--checkpoint", str(ckpt), "--tile", str(tile),
                  "--out", str(tmp_path / "p.btm")])
@@ -900,10 +912,16 @@ class TestMalformedInputs:
     def test_non_finite_tile_rejected(self, site, tmp_path, capsys, image, where, value):
         tile_path, ckpt = site
         tile = read_tile(tile_path)
-        getattr(tile, image)[where] = value
+        arr = getattr(tile, image)
+        arr[where] = value
         write_tile(tile, tile_path)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        at = 16 + (image == "post") * arr.nbytes + 4 * int(bad[0])  # 16-byte header
+        assert not np.isfinite(np.frombuffer(tile_path.read_bytes(), "<f4", 1, at))
         assert predict_rc(ckpt, tile_path, tmp_path) == 3
-        assert f"{image} holds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{image} holds" in err
+        assert f"{image} holds {bad.size} non-finite value(s), the first at byte {at}" in err
         assert not (tmp_path / "p.btm").exists()
 
     def test_non_finite_weight_rejected(self, site, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -66,12 +67,27 @@ class TestTileFormat:
             read_tile(path)
 
     def test_dimension_overflow_rejected(self, tmp_path):
-        import struct
-
         path = tmp_path / "t.btt"
         path.write_bytes(struct.pack("<4sIII", b"BTT1", 1 << 30, 1 << 30, 1 << 30))
         with pytest.raises(TileFormatError, match="overflow"):
             read_tile(path)
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [((2**24, 2**24, 2**24), "truncated pre image"), ((1, 1, 2**24 + 1), "W=16777217")],
+        ids=["at-the-bound", "one-past"],
+    )
+    def test_dimension_bound_is_2_to_the_24(self, tmp_path, dims, message):
+        """A header alone tells a dimension at the bound, whose payload is then
+        missing, from one past it; neither allocates the payload it names."""
+        path = tmp_path / "t.btt"
+        path.write_bytes(struct.pack("<4sIII", b"BTT1", *dims))
+
+        def read():
+            with pytest.raises(TileFormatError, match=message):
+                read_tile(path)
+
+        assert traced_peak(read)[1] < SLACK
 
     def test_invalid_mask_value_rejected(self, tmp_path):
         path = tmp_path / "t.btt"

@@ -132,11 +132,11 @@ class TestHybridLoss:
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
-            LossConfig(alpha=1.5).validate()
+            LossConfig(alpha=1.5)
         with pytest.raises(ConfigError):
-            LossConfig(pos_weight=-1.0).validate()
+            LossConfig(pos_weight=-1.0)
         with pytest.raises(ConfigError):
-            LossConfig(dice_eps=0.0).validate()
+            LossConfig(dice_eps=0.0)
 
 
 @settings(max_examples=30, deadline=None)

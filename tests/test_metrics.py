@@ -64,7 +64,8 @@ class TestConfusionCounts:
         g = np.random.default_rng(2)
         pred = g.choice([0, 1], size=(32, 32)).astype(np.uint8)
         truth = g.choice([0, 1, 255], size=(32, 32)).astype(np.uint8)
-        assert confusion_counts(pred, truth).total == 32 * 32
+        c = confusion_counts(pred, truth)
+        assert c.tp + c.fp + c.tn + c.fn + c.nodata_skipped == 32 * 32
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

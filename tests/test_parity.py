@@ -2,6 +2,9 @@
 still hash to the digests in ``tests/golden/parity.txt``."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -29,3 +32,18 @@ def test_outputs_match_golden_digests(parity):
     saved = golden[len(key):]
     assert len(saved) == 122
     assert list(here) == saved
+
+
+def test_machine_key_names_the_blas_core(parity):
+    """The key's last line is the OpenBLAS core, which moves digests where
+    the version strings do not; a forced core shows in the key, so the gate
+    skips on it instead of failing."""
+    core = parity.blas_core()
+    assert list(islice(parity.lines(), 5))[-1] == f"# blas_core: {core}"
+    assert any(line.startswith("# blas_core: ") for line in GOLDEN.read_text().splitlines())
+    if core == "unknown":
+        pytest.skip("numpy's BLAS reports no core name")
+    script = f"import runpy; print(runpy.run_path({parity.__file__!r})['blas_core']())"
+    env = os.environ | {"OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "Haswell", out.stderr

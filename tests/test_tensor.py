@@ -695,6 +695,7 @@ def naive_conv2d(x, w, b, g):
 @example(n=2, cin=3, cout=5, h=96, w=90, k=3, seed=2)  # H*(W+2) >= 2*_BLOCK: row blocks
 @example(n=2, cin=3, cout=5, h=96, w=90, k=1, seed=3)
 @example(n=1, cin=2, cout=3, h=97, w=90, k=3, seed=4)  # rows split 48 + 49
+@example(n=1, cin=2, cout=3, h=7, w=1800, k=3, seed=7)  # 2 + 2 + 3: a middle block is shorter
 @example(n=1, cin=2, cout=3, h=2, w=4200, k=3, seed=5)  # short and wide: one row per block
 @example(n=1, cin=2, cout=3, h=1, w=9000, k=3, seed=6)  # more blocks' worth than rows
 def test_conv2d_matches_naive_reference(n, cin, cout, h, w, k, seed):

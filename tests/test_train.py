@@ -265,12 +265,17 @@ class TestTrainLoop:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(lr=-1.0).validate()
+            TrainConfig(lr=-1.0)
         with pytest.raises(ConfigError):
-            TrainConfig(patch_size=33).validate()
+            TrainConfig(patch_size=33)
         for size in (0, -32):
             with pytest.raises(ConfigError, match=f"positive multiple of 32, got {size}"):
-                TrainConfig(patch_size=size).validate()
+                TrainConfig(patch_size=size)
+
+    def test_betas_of_zero_are_accepted(self):
+        """Each beta lies in [0, 1): zero is Adam without that moving average."""
+        for betas in ((0.0, 0.999), (0.9, 0.0)):
+            assert TrainConfig(betas=betas).betas == betas
 
 
 class TestCheckpoint:
@@ -300,6 +305,13 @@ class TestCheckpoint:
             assert np.array_equal(arr, back.params[name])
         for name, arr in ckpt.buffers.items():
             assert np.array_equal(arr, back.buffers[name])
+
+    def test_no_rng_saves_zero_rng_words(self, tmp_path):
+        ckpt = checkpoint_from_model(init_model(TINY, seed=0))
+        assert ckpt.rng_words == (0, 0, 0, 0)
+        path = tmp_path / "model.sunc"
+        save_checkpoint(ckpt, path)
+        assert load_checkpoint(path).rng_words == (0, 0, 0, 0)
 
     def test_parameter_names_match_parameter_list(self, tmp_path):
         model = init_model(TINY, seed=0)
