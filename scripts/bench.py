@@ -6,7 +6,7 @@ untraced once per seed and traced once on the first seed, one run at a
 time, and writes:
 
 - the commit, whether ``src/`` differs from it, and the machine block that
-  perfbench reports;
+  perfbench reports, plus the OpenBLAS core that ``parity.py`` names;
 - the ``attempted`` and ``failed`` op counts of the untraced runs, and
   how many of them perfbench judged not ``correct`` (a failed op, or a
   failed run-level check such as train's "loss did not fall");
@@ -24,9 +24,9 @@ on any code (seed 115).  Its counts stay in ``attempted`` and ``failed``.
 Then it prints the diff against the newest ``BENCH_<m>.json`` with m < n
 beside the output.  It flags each end-to-end metric whose median worsened
 by more than its ``BENCHMARK.json`` bound, a larger share of failed ops,
-more runs that are not correct, and records taken over other seeds or run
-lengths, and it prints both tier-1 runs.  perfbench and BENCHMARK.json
-are only read.
+more runs that are not correct, and records taken over other seeds, run
+lengths or named BLAS cores, and it prints both tier-1 runs.  perfbench
+and BENCHMARK.json are only read.
 
 Given several checkouts, such as a parent and a change, it runs them in
 turns and writes one record for each, so that the machine's slow spells
@@ -120,6 +120,15 @@ def run_tier1(root: Path) -> dict:
     return tier1_summary(proc.stdout)
 
 
+def blas_core() -> str | None:
+    """``scripts/parity.py``'s ``blas_core()``, run in a child; None if it fails."""
+    script = "import runpy, sys; print(runpy.run_path(sys.argv[1])['blas_core']())"
+    cmd = [sys.executable, "-c", script, str(ROOT / "scripts" / "parity.py")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def quartiles(values: list) -> dict:
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
@@ -188,8 +197,10 @@ def measure(roots: list, bench: dict) -> list:
         traced = {k: run_once(roots[k], workload, seeds[0], seconds, 1)["result"] for k in turns[-1]}
         for k, record in enumerate(records):
             record["workloads"][workload] = summarize(workload, runs[k], traced[k], bench)
+    core = blas_core()
     for root, record in zip(roots, records):
         record["src_differs_from_commit"] = src_differs(root)
+        record["machine"]["blas_core"] = core
     return records
 
 
@@ -214,6 +225,10 @@ def diff(old: dict, new: dict, bench: dict) -> int:
         if old.get(key) != new.get(key):
             print(f"FLAG: {key} differ: {old.get(key)} -> {new.get(key)}")
             flags += 1
+    cores = [r["machine"].get("blas_core") for r in (old, new)]
+    if None not in cores and cores[0] != cores[1]:
+        print(f"FLAG: BLAS cores differ: {cores[0]} -> {cores[1]}")
+        flags += 1
     diff_tier1(old.get("tier1"), new.get("tier1"))
     for workload, w in new["workloads"].items():
         o = old["workloads"].get(workload)

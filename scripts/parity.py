@@ -34,10 +34,10 @@ import numpy as np
 
 from diffnet.cli import main as cli_main
 from diffnet.data import NODATA, SceneParams, generate_scene, write_tile
-from diffnet.losses import LossConfig, hybrid_loss
+from diffnet.losses import LossConfig
 from diffnet.model import ModelConfig, init_model
 from diffnet.tensor import Tensor, no_grad
-from diffnet.train import TrainConfig, save_checkpoint, train
+from diffnet.train import TrainConfig, hybrid_loss, save_checkpoint, train
 
 
 def digest(arr) -> str:

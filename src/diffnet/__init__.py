@@ -3,11 +3,11 @@
 __version__ = "0.1.0"
 
 from .data import BitemporalTile, SceneParams, generate_scene, read_tile, write_tile
-from .losses import LossConfig, dice_loss, hybrid_loss, weighted_bce
+from .losses import LossConfig, dice_loss, weighted_bce
 from .metrics import ConfusionCounts, MetricSet, aggregate, confusion_counts, metrics_from_counts
 from .model import ModelConfig, SiameseUNet, init_model
 from .tensor import Tensor
-from .train import TrainConfig, load_checkpoint, predict, save_checkpoint, train
+from .train import TrainConfig, hybrid_loss, load_checkpoint, predict, save_checkpoint, train
 
 __all__ = [
     "BitemporalTile",

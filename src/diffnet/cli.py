@@ -5,8 +5,8 @@ subcommand, resolved flag values and paths, so any output can be
 reproduced bit-for-bit by re-running with the recorded values.
 
 Exit codes: 0 success, 2 usage error, 3 data/parse error, 4 numeric
-failure (non-finite loss).  ``DIFFNET_SEED`` overrides the default seed
-when no ``--seed`` flag is given.  Seeds are integers >= 0.
+failure (non-finite loss or overflow).  ``DIFFNET_SEED`` overrides the
+default seed when no ``--seed`` flag is given.  Seeds are integers >= 0.
 """
 
 from __future__ import annotations
@@ -396,7 +396,7 @@ def main(argv=None) -> int:
     except (TileFormatError, CheckpointFormatError, ShapeError, ContractError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except NonFiniteLossError as e:
+    except (NonFiniteLossError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

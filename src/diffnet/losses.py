@@ -1,4 +1,5 @@
-"""Hybrid training loss: weighted binary cross-entropy mixed with Dice.
+"""The terms of the hybrid training loss, weighted binary cross-entropy and
+Dice, and the settings with which ``train.hybrid_loss`` mixes them.
 
 Targets are {0, 1, 255} masks; 255 marks nodata pixels, which are excluded
 from both loss terms.  All losses return scalar graph tensors that are
@@ -35,10 +36,14 @@ class LossConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.pos_weight is not None and not 0 < self.pos_weight < math.inf:
-            raise ConfigError(f"pos_weight must be positive, got {self.pos_weight}")
-        if not 0 < self.dice_eps < math.inf:
-            raise ConfigError(f"dice_eps must be positive, got {self.dice_eps}")
+        if self.pos_weight is not None:
+            _require_positive("pos_weight", self.pos_weight)
+        _require_positive("dice_eps", self.dice_eps)
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:  # false for NaN
+        raise ConfigError(f"{name} must be positive, got {value}")
 
 
 def _split_target(probs: Tensor, target) -> tuple[np.ndarray, np.ndarray]:
@@ -68,8 +73,7 @@ def weighted_bce(probs: Tensor, target, pos_weight: float) -> Tensor:
 
     Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs.
     """
-    if pos_weight <= 0:
-        raise ConfigError(f"pos_weight must be positive, got {pos_weight}")
+    _require_positive("pos_weight", pos_weight)
     y, valid = _split_target(probs, target)
     n_valid = valid.sum()
     if n_valid == 0:
@@ -84,16 +88,10 @@ def weighted_bce(probs: Tensor, target, pos_weight: float) -> Tensor:
 def dice_loss(probs: Tensor, target, eps: float = 1.0) -> Tensor:
     """Soft Dice loss 1 - (2*sum(p*y) + eps) / (sum(p) + sum(y) + eps),
     summing over valid pixels only."""
+    _require_positive("eps", eps)
     y, valid = _split_target(probs, target)
     p = mul(probs, valid)
     inter = tsum(mul(p, y))
     denom = tsum(p) + float(y.sum())
     return 1.0 - (2.0 * inter + eps) / (denom + eps)
 
-
-def hybrid_loss(probs: Tensor, target, cfg: LossConfig) -> Tensor:
-    """alpha * weighted_bce + (1 - alpha) * dice_loss, both built at every
-    alpha: the ops, in the order, of ``train.train``, so equal bit for bit."""
-    w = cfg.pos_weight if cfg.pos_weight is not None else auto_pos_weight(target)
-    bce = weighted_bce(probs, target, w)
-    return cfg.alpha * bce + (1.0 - cfg.alpha) * dice_loss(probs, target, cfg.dice_eps)

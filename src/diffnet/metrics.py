@@ -1,8 +1,9 @@
 """Confusion tallies and the six-metric evaluation suite.
 
 Pixels valued 255 in either mask are nodata: skipped from the tallies and
-reported separately.  0/0 metric denominators map to 0.0 with the
-degenerate flag set, so aggregation over many sites stays finite.
+reported separately.  A site with no true positive is degenerate: its
+precision, recall, F1, IoU and Dice read 0.0 and its flag is set, so
+aggregation over many sites stays finite.
 """
 
 from __future__ import annotations
@@ -57,34 +58,24 @@ def confusion_counts(pred, truth) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn, nodata_skipped=nodata)
 
 
-def _ratio(num: int, den: int) -> tuple[float, bool]:
-    if den == 0:
-        return 0.0, True
-    return num / den, False
-
-
 def metrics_from_counts(c: ConfusionCounts) -> MetricSet:
-    """Accuracy, precision, recall, F1, IoU and Dice from confusion counts."""
+    """Accuracy, precision, recall, F1, IoU and Dice from confusion counts;
+    with no true positive the last five read 0.0 and the set is degenerate."""
     valid = c.tp + c.fp + c.tn + c.fn
     if valid == 0:
         raise ContractError("metrics_from_counts requires at least one valid pixel")
     accuracy = (c.tp + c.tn) / valid
-    precision, d1 = _ratio(c.tp, c.tp + c.fp)
-    recall, d2 = _ratio(c.tp, c.tp + c.fn)
-    if precision + recall == 0:
-        f1, d3 = 0.0, True
-    else:
-        f1, d3 = 2 * precision * recall / (precision + recall), False
-    iou, d4 = _ratio(c.tp, c.tp + c.fp + c.fn)
-    dice, d5 = _ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn)
+    if c.tp == 0:
+        return MetricSet(accuracy, 0.0, 0.0, 0.0, 0.0, 0.0, degenerate=True)
+    precision = c.tp / (c.tp + c.fp)
+    recall = c.tp / (c.tp + c.fn)
     return MetricSet(
         accuracy=accuracy,
         precision=precision,
         recall=recall,
-        f1=f1,
-        iou=iou,
-        dice=dice,
-        degenerate=d1 or d2 or d3 or d4 or d5,
+        f1=2 * precision * recall / (precision + recall),
+        iou=c.tp / (c.tp + c.fp + c.fn),
+        dice=2 * c.tp / (2 * c.tp + c.fp + c.fn),
     )
 
 

@@ -301,6 +301,20 @@ def _assemble_batch(
     return np.stack(pre), np.stack(post), np.stack(tgt)
 
 
+def _hybrid_terms(probs: Tensor, target, cfg: LossConfig) -> tuple[Tensor, Tensor, Tensor]:
+    """(alpha * bce + (1 - alpha) * dice, bce, dice), both terms built at
+    every alpha; a ``pos_weight`` of None weighs by ``auto_pos_weight``."""
+    w = cfg.pos_weight if cfg.pos_weight is not None else auto_pos_weight(target)
+    bce = weighted_bce(probs, target, w)
+    dce = dice_loss(probs, target, cfg.dice_eps)
+    return cfg.alpha * bce + (1.0 - cfg.alpha) * dce, bce, dce
+
+
+def hybrid_loss(probs: Tensor, target, cfg: LossConfig) -> Tensor:
+    """alpha * weighted_bce + (1 - alpha) * dice_loss, as ``train`` builds it."""
+    return _hybrid_terms(probs, target, cfg)[0]
+
+
 def train(
     model: SiameseUNet, tiles: list[BitemporalTile], cfg: TrainConfig
 ) -> tuple[Checkpoint, TrainLog]:
@@ -329,15 +343,7 @@ def train(
         model.zero_grad()
         probs = model.forward(Tensor(pre_b), Tensor(post_b), mode="train")
 
-        alpha = cfg.loss.alpha
-        w = (
-            cfg.loss.pos_weight
-            if cfg.loss.pos_weight is not None
-            else auto_pos_weight(tgt)
-        )
-        bce = weighted_bce(probs, tgt, w)
-        dce = dice_loss(probs, tgt, cfg.loss.dice_eps)
-        total = alpha * bce + (1.0 - alpha) * dce
+        total, bce, dce = _hybrid_terms(probs, tgt, cfg.loss)
 
         loss_val = total.item()
         if not np.isfinite(loss_val):
@@ -362,10 +368,12 @@ def train(
 
 def predict(model: SiameseUNet, tile: BitemporalTile, threshold: float = 0.5) -> np.ndarray:
     """Eval-mode forward pass binarized at the threshold; nodata pixels in
-    the tile mask propagate to the output as 255."""
+    the tile mask propagate to the output as 255.  A forward that overflows,
+    as finite but huge weights or images make it, raises FloatingPointError
+    rather than giving a mask."""
     if not 0.0 <= threshold < 1.0:
         raise ConfigError(f"threshold must lie in [0, 1), got {threshold}")
-    with no_grad():
+    with no_grad(), np.errstate(over="raise", invalid="raise"):
         probs = model.forward(
             Tensor(tile.pre[None]), Tensor(tile.post[None]), mode="eval"
         )

@@ -15,7 +15,7 @@ from table_fixtures import EMSR_TABLE
 from diffnet.cli import render_confusion
 from diffnet.data import SceneParams, generate_scene, read_tile, write_tile
 from diffnet.gradcheck import gradcheck
-from diffnet.losses import LossConfig, hybrid_loss
+from diffnet.losses import LossConfig
 from diffnet.metrics import (
     ConfusionCounts,
     MetricSet,
@@ -40,6 +40,7 @@ from diffnet.tensor import (
 from diffnet.train import (
     TrainConfig,
     checkpoint_from_model,
+    hybrid_loss,
     load_checkpoint,
     model_from_checkpoint,
     predict,

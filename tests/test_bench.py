@@ -69,6 +69,30 @@ def test_other_seeds_or_run_lengths_are_flagged(bench, capsys):
     assert "FLAG: seeds differ" in out and "FLAG: seconds differ" in out
 
 
+def test_other_blas_cores_are_flagged(bench, capsys):
+    old, new = record(), record()
+    old["machine"]["blas_core"], new["machine"]["blas_core"] = "SkylakeX", "Haswell"
+    assert bench.diff(old, new, BENCH) == 1
+    assert "FLAG: BLAS cores differ: SkylakeX -> Haswell" in capsys.readouterr().out
+
+
+def test_a_side_without_a_blas_core_is_not_flagged(bench, capsys):
+    old, new = record(), record()
+    new["machine"]["blas_core"] = "Haswell"
+    assert bench.diff(old, new, BENCH) == 0
+    assert bench.diff(new, old, BENCH) == 0
+    assert "FLAG" not in capsys.readouterr().out
+
+
+def test_blas_core_comes_from_parity(bench):
+    """bench.py reads the core through ``scripts/parity.py``'s
+    ``blas_core()``, the one lookup, so both name the same core."""
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    assert bench.blas_core() == parity.blas_core()
+
+
 def test_a_median_beyond_its_bound_is_flagged(bench, capsys):
     new = copy.deepcopy(record())
     m = next(m for m in BENCH["end_to_end"] if m["name"] == "throughput")

@@ -933,6 +933,17 @@ class TestMalformedInputs:
         assert "enc2.conv.weight holds 1 non-finite value(s)" in capsys.readouterr().err
         assert not (tmp_path / "p.btm").exists()
 
+    def test_overflowing_forward_is_a_numeric_failure(self, site, tmp_path, capsys):
+        """Finite weights so large that the forward overflows float32 exit 4,
+        with no traceback and no mask."""
+        tile, path = site
+        ckpt = load_checkpoint(path)
+        ckpt.params["enc1.conv.weight"][...] = 3e38
+        save_checkpoint(ckpt, path)
+        assert predict_rc(path, tile, tmp_path) == 4
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "p.btm").exists()
+
     @pytest.mark.parametrize("subcommand", ["eval", "render"])
     def test_zero_size_mask_rejected(self, tmp_path, capsys, subcommand):
         mask = tmp_path / "empty.btm"

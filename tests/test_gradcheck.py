@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffnet.gradcheck import gradcheck
-from diffnet.losses import LossConfig, dice_loss, hybrid_loss
+from diffnet.losses import LossConfig, dice_loss
 from diffnet.tensor import (
     Tensor,
     batchnorm2d,
@@ -21,6 +21,7 @@ from diffnet.tensor import (
     sub,
     upconv2x2,
 )
+from diffnet.train import hybrid_loss
 
 TOL = 1e-5
 

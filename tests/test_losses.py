@@ -10,10 +10,10 @@ from diffnet.losses import (
     LossConfig,
     auto_pos_weight,
     dice_loss,
-    hybrid_loss,
     weighted_bce,
 )
 from diffnet.tensor import Tensor
+from diffnet.train import hybrid_loss
 
 
 def bce_oracle(probs, target, pos_weight):
@@ -54,10 +54,11 @@ class TestWeightedBce:
         flipped[0, 0, 0, :2] = 1.0 - flipped[0, 0, 0, :2]
         assert weighted_bce(Tensor(flipped), target, 2.0).item() == pytest.approx(base, abs=1e-12)
 
-    def test_nonpositive_weight_rejected(self):
+    @pytest.mark.parametrize("pos_weight", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonpositive_weight_rejected(self, pos_weight):
         probs = Tensor(np.full((1, 1), 0.5, np.float32))
-        with pytest.raises(ConfigError):
-            weighted_bce(probs, np.ones((1, 1), np.uint8), pos_weight=0.0)
+        with pytest.raises(ConfigError, match="pos_weight must be positive"):
+            weighted_bce(probs, np.ones((1, 1), np.uint8), pos_weight=pos_weight)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -84,6 +85,12 @@ class TestDiceLoss:
         lab = dice_loss(Tensor(a.astype(np.float64)), b).item()
         lba = dice_loss(Tensor(b.astype(np.float64)), a).item()
         assert lab == pytest.approx(lba, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonpositive_eps_rejected(self, eps):
+        probs = Tensor(np.full((1, 1), 0.5, np.float32))
+        with pytest.raises(ConfigError, match="eps must be positive"):
+            dice_loss(probs, np.ones((1, 1), np.uint8), eps=eps)
 
 
 class TestHybridLoss:

@@ -3,7 +3,7 @@ the published evaluation table's internal consistency."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffnet.errors import ContractError, ShapeError
@@ -126,6 +126,26 @@ def test_f1_equals_dice_and_iou_identity(counts):
     if not m.degenerate:
         assert abs(m.iou - m.f1 / (2 - m.f1)) < 1e-12
     assert m.iou <= m.f1 + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=counts_strategy)
+@example(counts=(0, 0, 5, 0))
+@example(counts=(0, 3, 0, 0))
+@example(counts=(0, 0, 0, 4))
+@example(counts=(0, 2, 7, 3))
+@example(counts=(1, 0, 0, 0))
+def test_degenerate_exactly_without_a_true_positive(counts):
+    """A set is degenerate exactly when tp is 0, and then its five ratios
+    read 0.0; with a true positive no ratio is 0."""
+    tp, fp, tn, fn = counts
+    m = metrics_from_counts(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn))
+    assert m.degenerate == (tp == 0)
+    ratios = (m.precision, m.recall, m.f1, m.iou, m.dice)
+    if tp == 0:
+        assert ratios == (0.0,) * 5
+    else:
+        assert all(r > 0 for r in ratios)
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffnet.errors import ContractError, ShapeError
-from diffnet.losses import LossConfig, hybrid_loss
+from diffnet.losses import LossConfig
 from diffnet.tensor import (
     _BLOCK,
     _consumed,
@@ -34,6 +34,7 @@ from diffnet.tensor import (
     tsum,
     upconv2x2,
 )
+from diffnet.train import hybrid_loss
 
 
 def randn(rng, *shape, dtype=np.float32):

@@ -3,6 +3,7 @@ thresholded prediction."""
 
 import gc
 import re
+import sys
 import tracemalloc
 import weakref
 
@@ -18,7 +19,7 @@ from diffnet.errors import (
     NonFiniteLossError,
     ShapeError,
 )
-from diffnet.losses import LossConfig, auto_pos_weight, dice_loss, hybrid_loss, weighted_bce
+from diffnet.losses import LossConfig, auto_pos_weight, dice_loss, weighted_bce
 from diffnet.model import ModelConfig, SiameseUNet, init_model
 from diffnet.tensor import Tensor, no_grad
 from diffnet.train import (
@@ -28,6 +29,7 @@ from diffnet.train import (
     _tile_order,
     adam_step,
     checkpoint_from_model,
+    hybrid_loss,
     load_checkpoint,
     model_from_checkpoint,
     predict,
@@ -153,6 +155,31 @@ class TestTrainLoop:
         for name, arr in (hand.params | hand.buffers).items():
             assert (ckpt.params | ckpt.buffers)[name].tobytes() == arr.tobytes(), name
 
+    @pytest.mark.parametrize("pos_weight", [None, 3.0], ids=["auto", "3.0"])
+    def test_loss_terms_are_called_through_the_train_module(self, monkeypatch, pos_weight):
+        """``train()`` and ``hybrid_loss`` look the loss terms up in
+        ``diffnet.train``'s namespace, where the benchmark's trace wraps
+        them: each term once per loss, and ``auto_pos_weight`` only when no
+        weight is fixed."""
+        module = sys.modules["diffnet.train"]
+        calls = dict.fromkeys(("auto_pos_weight", "weighted_bce", "dice_loss"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        loss_cfg = LossConfig(pos_weight=pos_weight)
+        cfg = TrainConfig(steps=2, batch_size=1, patch_size=32, loss=loss_cfg)
+        train(init_model(TINY, seed=1), tiny_tiles(), cfg)
+        per_loss = {"auto_pos_weight": int(pos_weight is None), "weighted_bce": 1, "dice_loss": 1}
+        assert calls == {k: 2 * n for k, n in per_loss.items()}
+
+        calls.update(dict.fromkeys(calls, 0))
+        tgt = np.zeros((1, 1, 4, 4), np.uint8)
+        tgt[0, 0, 0, 0] = 1
+        hybrid_loss(Tensor(np.full(tgt.shape, 0.5)), tgt, loss_cfg)
+        assert calls == per_loss
+
     def test_non_finite_loss_aborts_with_step(self):
         model = init_model(TINY, seed=1)
         model.params["enc1.conv.weight"].data[0, 0, 0, 0] = np.nan
@@ -168,8 +195,6 @@ class TestTrainLoop:
         argmaxes differ; on degenerate 1x1 bottleneck maps a shared bias
         shift cancels exactly in the feature difference.
         """
-        from diffnet.losses import LossConfig, hybrid_loss
-
         model = init_model(TINY, seed=1)
         tile = tiny_tiles(1, size=(64, 64))[0]
         assert (tile.mask == 1).any()
