@@ -1,6 +1,8 @@
 """Command-line front end: gen, train, predict, eval and render.
 
-Every run writes a JSON manifest next to its outputs recording the
+Every subcommand runs inside ``_run``, which refuses clashing or
+directory outputs before anything is read and, once the command
+succeeds, writes a JSON manifest next to its outputs recording the
 subcommand, resolved flag values and paths, so any output can be
 reproduced bit-for-bit by re-running with the recorded values.
 
@@ -12,6 +14,7 @@ default seed when no ``--seed`` flag is given.  Seeds are integers >= 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -129,17 +132,9 @@ def resolve_seed(flag_value: int | None) -> int:
         raise ConfigError(f"DIFFNET_SEED: {e}") from None
 
 
-def _manifest_path(first_output) -> Path:
-    """Where ``write_manifest`` records a run that names no other path."""
-    return Path(f"{first_output}.manifest.json")
-
-
-def write_manifest(
-    args: argparse.Namespace, inputs: list, outputs: list, path: Path | None = None
-) -> None:
+def write_manifest(args: argparse.Namespace, inputs: list, outputs: list, path) -> None:
     """Record the subcommand and every flag as parsed (after seed and
-    default-path resolution), keyed by flag name.  The manifest goes to
-    ``path``, by default ``_manifest_path(outputs[0])``."""
+    default-path resolution), keyed by flag name, at ``path``."""
     flags = {
         k.replace("_", "-"): v
         for k, v in vars(args).items()
@@ -152,7 +147,6 @@ def write_manifest(
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
-    path = path or _manifest_path(outputs[0])
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     write_atomic(path, (text.encode(),))
 
@@ -168,20 +162,32 @@ def _file_key(path) -> tuple:
     return (st.st_dev, st.st_ino), stat.S_ISDIR(st.st_mode)
 
 
-def _refuse_overwrite(inputs: list, outputs: dict[str, str]) -> None:
-    """Before anything is read: ConfigError (exit 2) when an output path,
-    keyed by its flag, or the manifest of the first output names an input
-    or another output's file, and IsADirectoryError (exit 3) when it names
-    a directory."""
+@contextlib.contextmanager
+def _run(args, inputs: list, outputs: list[tuple[str, object]], manifest=None):
+    """Check a subcommand's outputs, run its body, then write its manifest,
+    by default to ``<first output>.manifest.json``; ``outputs`` pairs each
+    path with its flag.  Before the body runs: ConfigError (exit 2) when an
+    output, the manifest or the ``<path>.tmp`` that ``write_atomic`` writes
+    first names an input or another output's file; IsADirectoryError
+    (exit 3) when an output or the manifest is a directory.  A body that
+    raises leaves no manifest."""
+    outputs = [(flag, Path(path)) for flag, path in outputs]  # the manifest records Path's spelling
+    manifest = manifest or Path(f"{outputs[0][1]}.manifest.json")
     taken = {_file_key(p)[0]: "an input" for p in inputs}
-    first = next(iter(outputs.values()))
-    for flag, path in {**outputs, "the manifest": _manifest_path(first)}.items():
+    for flag, path in [*outputs, ("the manifest", manifest)]:
         key, is_dir = _file_key(path)
+        tmp = f"{path}.tmp"
+        tmp_key = _file_key(tmp)[0]
         if key in taken:
             raise ConfigError(f"{flag} {path} is also {taken[key]}")
+        if tmp_key in taken:
+            raise ConfigError(f"{flag} {path}: its temp file {tmp} is also {taken[tmp_key]}")
         if is_dir:
             raise IsADirectoryError(f"{flag} {path} is a directory")
         taken[key] = f"the {flag} path"
+        taken[tmp_key] = f"the temp file of {flag} {path}"
+    yield
+    write_manifest(args, inputs, [path for _, path in outputs], manifest)
 
 
 def _load_any_mask(path: Path) -> np.ndarray:
@@ -206,7 +212,7 @@ def render_confusion(pred: np.ndarray, truth: np.ndarray, out_path) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     args.seed = resolve_seed(args.seed)
     params = SceneParams(
         channels=args.channels,
@@ -219,17 +225,14 @@ def cmd_gen(args) -> int:
         noise_sigma=args.noise_sigma,
     )
     out_dir = Path(args.out_dir)
-    outputs = []
-    for i in range(args.count):
-        tile = generate_scene(params, seed=args.seed + i)
-        path = out_dir / f"tile_{i:05d}.btt"
-        write_tile(tile, path)
-        outputs.append(path)
-    write_manifest(args, [], outputs, out_dir / "manifest.json")
-    return EXIT_OK
+    paths = [out_dir / f"tile_{i:05d}.btt" for i in range(args.count)]
+    with _run(args, [], [("--out-dir", p) for p in paths], out_dir / "manifest.json"):
+        for i, path in enumerate(paths):
+            tile = generate_scene(params, seed=args.seed + i)
+            write_tile(tile, path)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     args.seed = resolve_seed(args.seed)
     pos_weight = None if args.pos_weight == "auto" else float(args.pos_weight)
     cfg = TrainConfig(
@@ -246,72 +249,60 @@ def cmd_train(args) -> int:
     if not tile_paths:
         raise ConfigError(f"no .btt tiles found in {data_dir}")
     args.log_csv = args.log_csv or f"{args.out}.log.csv"
-    _refuse_overwrite(tile_paths, {"--out": args.out, "--log-csv": args.log_csv})
-    tiles = [read_tile(p) for p in tile_paths]
+    with _run(args, tile_paths, [("--out", args.out), ("--log-csv", args.log_csv)]):
+        tiles = [read_tile(p) for p in tile_paths]
 
-    model = init_model(
-        ModelConfig(in_channels=tiles[0].channels, base_width=args.base_width),
-        seed=args.model_seed,
-    )
-    ckpt, log = train(model, tiles, cfg)
+        model = init_model(
+            ModelConfig(in_channels=tiles[0].channels, base_width=args.base_width),
+            seed=args.model_seed,
+        )
+        ckpt, log = train(model, tiles, cfg)
 
-    out = Path(args.out)
-    log_csv = Path(args.log_csv)
-    save_checkpoint(ckpt, out)
-    log.to_csv(log_csv)
-    write_manifest(args, tile_paths, [out, log_csv])
-    return EXIT_OK
+        save_checkpoint(ckpt, args.out)
+        log.to_csv(args.log_csv)
 
 
-def cmd_predict(args) -> int:
-    _refuse_overwrite([args.checkpoint, args.tile], {"--out": args.out})
-    ckpt = load_checkpoint(args.checkpoint)  # refuses NaN/Inf tensors itself
-    tile = read_tile(args.tile)
-    # a NaN or Inf in the images would come out as an all-zero mask
-    refuse_nonfinite(args.tile, HEADER.size, TileFormatError, {"pre": tile.pre, "post": tile.post})
-    model = model_from_checkpoint(ckpt)
-    mask = predict(model, tile, threshold=args.threshold)
-    out = Path(args.out)
-    write_mask(mask, out)
-    write_manifest(args, [args.checkpoint, args.tile], [out])
-    return EXIT_OK
+def cmd_predict(args) -> None:
+    with _run(args, [args.checkpoint, args.tile], [("--out", args.out)]):
+        ckpt = load_checkpoint(args.checkpoint)  # refuses NaN/Inf tensors itself
+        tile = read_tile(args.tile)
+        # a NaN or Inf in the images would come out as an all-zero mask
+        refuse_nonfinite(args.tile, HEADER.size, TileFormatError,
+                         {"pre": tile.pre, "post": tile.post})
+        model = model_from_checkpoint(ckpt)
+        mask = predict(model, tile, threshold=args.threshold)
+        write_mask(mask, args.out)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     if len(args.pred) != len(args.truth):
         raise ConfigError(
             f"site count mismatch: {len(args.pred)} predictions vs "
             f"{len(args.truth)} truth files"
         )
-    _refuse_overwrite(args.pred + args.truth, {"--out": args.out})
-    rows = []
-    for pred_path, truth_path in zip(args.pred, args.truth):
-        pred = _load_any_mask(Path(pred_path))
-        truth = _load_any_mask(Path(truth_path))
-        counts = confusion_counts(pred, truth)
-        try:
-            metrics = metrics_from_counts(counts)
-        except ContractError as e:
-            raise ContractError(f"--pred {pred_path} --truth {truth_path}: {e}") from None
-        rows.append((Path(pred_path).stem, metrics))
-    mean_set, std_set = aggregate([m for _, m in rows])
+    with _run(args, args.pred + args.truth, [("--out", args.out)]):
+        rows = []
+        for pred_path, truth_path in zip(args.pred, args.truth):
+            pred = _load_any_mask(Path(pred_path))
+            truth = _load_any_mask(Path(truth_path))
+            counts = confusion_counts(pred, truth)
+            try:
+                metrics = metrics_from_counts(counts)
+            except ContractError as e:
+                raise ContractError(f"--pred {pred_path} --truth {truth_path}: {e}") from None
+            rows.append((Path(pred_path).stem, metrics))
+        mean_set, std_set = aggregate([m for _, m in rows])
 
-    table = [(site, *(f"{v:.6f}" for v in m.as_tuple()))
-             for site, m in rows + [("mean", mean_set), ("std", std_set)]]
-    out = Path(args.out)
-    write_csv(out, [("site", *METRIC_NAMES), *table], lineterminator="\n")
-    write_manifest(args, args.pred + args.truth, [out])
-    return EXIT_OK
+        table = [(site, *(f"{v:.6f}" for v in m.as_tuple()))
+                 for site, m in rows + [("mean", mean_set), ("std", std_set)]]
+        write_csv(args.out, [("site", *METRIC_NAMES), *table], lineterminator="\n")
 
 
-def cmd_render(args) -> int:
-    _refuse_overwrite([args.pred, args.truth], {"--out": args.out})
-    pred = _load_any_mask(Path(args.pred))
-    truth = _load_any_mask(Path(args.truth))
-    out = Path(args.out)
-    render_confusion(pred, truth, out)
-    write_manifest(args, [args.pred, args.truth], [out])
-    return EXIT_OK
+def cmd_render(args) -> None:
+    with _run(args, [args.pred, args.truth], [("--out", args.out)]):
+        pred = _load_any_mask(Path(args.pred))
+        truth = _load_any_mask(Path(args.truth))
+        render_confusion(pred, truth, args.out)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -389,7 +380,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -399,6 +390,7 @@ def main(argv=None) -> int:
     except (NonFiniteLossError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def entrypoint() -> None:

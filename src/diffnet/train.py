@@ -52,8 +52,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (0 < self.lr < math.inf and 0 < self.adam_eps < math.inf):
             raise ConfigError("lr and adam_eps must be positive")
-        if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
-            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed}")
         if self.steps < 0 or self.batch_size < 1 or self.log_every < 1:
             raise ConfigError("steps, batch_size and log_every must be positive")
         if self.patch_size < DIVISOR or self.patch_size % DIVISOR:

@@ -104,6 +104,23 @@ class TestGen:
         assert "DIFFNET_SEED" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, flag", [("tile_00001.btt", "--out-dir"), ("manifest.json", "the manifest")],
+        ids=["tile", "manifest"],
+    )
+    def test_output_onto_a_directory_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                    name, flag):
+        """A directory at any tile or at the manifest: exit 3, naming flag
+        and path, before any scene is generated or tile written."""
+        out = tmp_path / "g"
+        (out / name).mkdir(parents=True)
+        ran = []
+        monkeypatch.setattr(cli, "generate_scene", lambda *args, **kwargs: ran.append(1))
+        assert main(["gen", "--out-dir", str(out), "--count", "3"] + GEN_SMALL) == 3
+        assert f"error: {flag} {out / name} is a directory" in capsys.readouterr().err
+        assert not ran
+        assert [p.relative_to(out) for p in out.rglob("*")] == [Path(name)]
+
 
 @pytest.mark.parametrize(
     "argv, flag",
@@ -646,16 +663,32 @@ def test_output_onto_an_input_is_usage_error(tmp_path, capsys, argv):
         (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{ckpt}",
           "--log-csv", "{ckpt}.manifest.json"],
          "the manifest {ckpt}.manifest.json is also the --log-csv path"),
+        (["predict", "--checkpoint", "{ckpt}", "--tile", "{site}.tmp", "--out", "{site}"],
+         "--out {site}: its temp file {site}.tmp is also an input"),
+        (["predict", "--checkpoint", "{ckpt}", "--tile", "{site}.manifest.json.tmp",
+          "--out", "{site}"],
+         "the manifest {site}.manifest.json: its temp file {site}.manifest.json.tmp "
+         "is also an input"),
+        (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{new}.tmp",
+          "--log-csv", "{new}"],
+         "--log-csv {new}: its temp file {new}.tmp is also the --out path"),
+        (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{new}",
+          "--log-csv", "{new}.tmp"],
+         "--log-csv {new}.tmp is also the temp file of --out {new}"),
     ],
-    ids=["predict-tile", "train-log"],
+    ids=["predict-tile", "train-log", "predict-tile-temp", "predict-tile-manifest-temp",
+         "train-log-temp", "train-out-temp"],
 )
 def test_manifest_onto_an_input_or_output_is_usage_error(tmp_path, capsys, argv, message):
-    """The manifest goes to ``<first output>.manifest.json``; when that
-    names an input or another output: exit 2, before any file is read or
-    written."""
+    """The manifest goes to ``<first output>.manifest.json``, and each
+    output and the manifest are first written to ``<path>.tmp``; when one
+    of these names an input or another output: exit 2, before any file is
+    read or written."""
     data = run_gen(tmp_path, count=1)
-    paths = {"data": data, "site": tmp_path / "site", "ckpt": tmp_path / "m.sunc"}
-    (tmp_path / "site.manifest.json").write_bytes((data / "tile_00000.btt").read_bytes())
+    paths = {"data": data, "site": tmp_path / "site", "ckpt": tmp_path / "m.sunc",
+             "new": tmp_path / "new"}
+    for name in ("site.manifest.json", "site.tmp", "site.manifest.json.tmp"):
+        (tmp_path / name).write_bytes((data / "tile_00000.btt").read_bytes())
     model = init_model(ModelConfig(in_channels=2, base_width=4), 0)
     save_checkpoint(checkpoint_from_model(model), paths["ckpt"])
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
@@ -811,7 +844,7 @@ class TestUsage:
         }
         for argv in (["gen", "--out-dir", "tiles"], ["train", "--data-dir", "d", "--out", "m"]):
             out = tmp_path / argv[0]
-            write_manifest(build_parser().parse_args(argv), [], [out])
+            write_manifest(build_parser().parse_args(argv), [], [out], f"{out}.manifest.json")
             recorded = json.loads(Path(f"{out}.manifest.json").read_text())["args"]
             for flag, value in defaults[argv[0]].items():
                 assert recorded[flag] == value and type(recorded[flag]) is type(value), flag
@@ -821,7 +854,8 @@ def test_manifest_bytes(tmp_path):
     """Two-space indent, keys sorted at every level, one trailing newline."""
     out = tmp_path / "o.ppm"
     argv = ["render", "--pred", "p.btm", "--truth", "t.btt", "--out", str(out)]
-    write_manifest(build_parser().parse_args(argv), ["p.btm", "t.btt"], [out])
+    write_manifest(build_parser().parse_args(argv), ["p.btm", "t.btt"], [out],
+                   f"{out}.manifest.json")
     assert Path(f"{out}.manifest.json").read_text() == (
         '{\n  "args": {\n    "out": %s,\n    "pred": "p.btm",\n    "truth": "t.btt"\n  },\n'
         '  "inputs": [\n    "p.btm",\n    "t.btt"\n  ],\n  "outputs": [\n    %s\n  ],\n'

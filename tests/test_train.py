@@ -302,6 +302,17 @@ class TestTrainLoop:
         for betas in ((0.0, 0.999), (0.9, 0.0)):
             assert TrainConfig(betas=betas).betas == betas
 
+    def test_unrunnable_seed_or_betas_are_refused(self):
+        """What ``train()`` cannot run fails construction: PCG64 takes no
+        negative seed, and Adam takes exactly two betas."""
+        for kwargs, message in (
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ({"betas": (0.9,)}, r"betas must be two numbers in \[0, 1\), got \(0.9,\)"),
+            ({"betas": (0.9, 0.99, 0.5)}, r"two numbers in \[0, 1\), got \(0.9, 0.99, 0.5\)"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                TrainConfig(**kwargs)
+
 
 class TestCheckpoint:
     def test_save_load_predict_bitwise(self, tmp_path):
