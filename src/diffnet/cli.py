@@ -6,9 +6,9 @@ succeeds, writes a JSON manifest next to its outputs recording the
 subcommand, resolved flag values and paths, so any output can be
 reproduced bit-for-bit by re-running with the recorded values.
 
-Exit codes: 0 success, 2 usage error, 3 data/parse error, 4 numeric
-failure (non-finite loss or overflow).  ``DIFFNET_SEED`` overrides the
-default seed when no ``--seed`` flag is given.  Seeds are integers >= 0.
+Exit codes: 0 success, 2 usage error, 3 data/parse error or out of memory,
+4 numeric failure (non-finite loss or overflow).  ``DIFFNET_SEED`` overrides
+the default seed when no ``--seed`` flag is given; seeds are integers >= 0.
 """
 
 from __future__ import annotations
@@ -167,25 +167,19 @@ def _run(args, inputs: list, outputs: list[tuple[str, object]], manifest=None):
     """Check a subcommand's outputs, run its body, then write its manifest,
     by default to ``<first output>.manifest.json``; ``outputs`` pairs each
     path with its flag.  Before the body runs: ConfigError (exit 2) when an
-    output, the manifest or the ``<path>.tmp`` that ``write_atomic`` writes
-    first names an input or another output's file; IsADirectoryError
-    (exit 3) when an output or the manifest is a directory.  A body that
-    raises leaves no manifest."""
+    output or the manifest names an input or another output's file;
+    IsADirectoryError (exit 3) when an output or the manifest is a
+    directory.  A body that raises leaves no manifest."""
     outputs = [(flag, Path(path)) for flag, path in outputs]  # the manifest records Path's spelling
     manifest = manifest or Path(f"{outputs[0][1]}.manifest.json")
     taken = {_file_key(p)[0]: "an input" for p in inputs}
     for flag, path in [*outputs, ("the manifest", manifest)]:
         key, is_dir = _file_key(path)
-        tmp = f"{path}.tmp"
-        tmp_key = _file_key(tmp)[0]
         if key in taken:
             raise ConfigError(f"{flag} {path} is also {taken[key]}")
-        if tmp_key in taken:
-            raise ConfigError(f"{flag} {path}: its temp file {tmp} is also {taken[tmp_key]}")
         if is_dir:
             raise IsADirectoryError(f"{flag} {path} is a directory")
         taken[key] = f"the {flag} path"
-        taken[tmp_key] = f"the temp file of {flag} {path}"
     yield
     write_manifest(args, inputs, [path for _, path in outputs], manifest)
 
@@ -384,7 +378,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (TileFormatError, CheckpointFormatError, ShapeError, ContractError, OSError) as e:
+    except (TileFormatError, CheckpointFormatError, ShapeError, ContractError, OSError,
+            MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NonFiniteLossError, FloatingPointError) as e:

@@ -196,14 +196,14 @@ def refuse_nonfinite(path, start: int, error, arrays: dict) -> None:
 
 
 def write_atomic(path, chunks) -> None:
-    """Write the chunks whole-file atomically, making ``path``'s directory if
-    it is missing: a temp file beside ``path``, then a rename, so no reader
-    ever sees a partial file.  A chunk is ``bytes`` or a C-contiguous array,
-    written through its buffer.  If the write or the rename raises, the temp
-    file is removed before the error propagates."""
+    """Write the chunks whole-file atomically: a fresh temp file beside
+    ``path``, created exclusively so no other file is touched, then a rename,
+    so no reader sees a partial file; ``path``'s directory is made if missing.
+    A chunk is ``bytes`` or a C-contiguous array, written through its buffer.
+    A failed write or rename removes the temp file; a name clash removes none."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp"
-    f = open(tmp, "wb")
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    f = open(tmp, "xb")
     try:
         with f:
             f.writelines(chunks)

@@ -1,19 +1,21 @@
 """Deterministic training loop, Adam optimizer, checkpoints and prediction.
 
 Checkpoint file layout (version 1): magic ``SUNC``, uint16 version, a
-uint32-length-prefixed UTF-8 header of ``key=value`` lines giving each of
-``in_channels``, ``base_width`` and ``step`` (>= 0) exactly once, a uint32
-record count, then one record per tensor (uint32 name length, name,
-uint32 rank, uint32 dims, float32 little-endian data) covering the
-trainable parameters followed by the batch-norm running buffers, and
-finally the trainer RNG state as four little-endian uint64 words (PCG64
-state and increment, low word first).  The records hold exactly the
-tensors that the header's config gives, each once, in its shape and finite.
+uint32-length-prefixed UTF-8 header of ``key=value`` lines, each ended by
+``\n`` and valued ``-?[0-9]+``, giving each of ``in_channels``,
+``base_width`` and ``step`` (>= 0) exactly once, a uint32 record count,
+then one record per tensor (uint32 name length, name, uint32 rank, uint32
+dims, float32 little-endian data) covering the trainable parameters
+followed by the batch-norm running buffers, and finally the trainer RNG
+state as four little-endian uint64 words (PCG64 state and increment, low
+word first).  The records hold exactly the tensors that the header's
+config gives, each once, in its shape and finite.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -216,12 +218,11 @@ def load_checkpoint(path) -> Checkpoint:
     at = line_at = r.off
     header: dict[str, int] = {}
     text = r.text(hlen, "header")
-    for line, whole in zip(text.splitlines(), text.splitlines(keepends=True)):
+    for line in text.removesuffix("\n").split("\n") if text else ():
         key, _, value = line.partition("=")
-        try:
-            number = int(value)
-        except ValueError:
+        if not re.fullmatch("-?[0-9]+", value):
             r.fail(f"header line {line!r} is not key=integer", line_at)
+        number = int(value)
         if key not in CKPT_HEADER_KEYS:
             r.fail(f"unknown header key {key!r}", line_at)
         if key in header:
@@ -229,7 +230,7 @@ def load_checkpoint(path) -> Checkpoint:
         if key == "step" and number < 0:
             r.fail(f"invalid header: step must be >= 0, got {number}", line_at)
         header[key] = number
-        line_at += len(whole.encode())
+        line_at += len(line.encode()) + 1
     try:
         config = ModelConfig(
             in_channels=header["in_channels"], base_width=header["base_width"]

@@ -663,38 +663,65 @@ def test_output_onto_an_input_is_usage_error(tmp_path, capsys, argv):
         (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{ckpt}",
           "--log-csv", "{ckpt}.manifest.json"],
          "the manifest {ckpt}.manifest.json is also the --log-csv path"),
-        (["predict", "--checkpoint", "{ckpt}", "--tile", "{site}.tmp", "--out", "{site}"],
-         "--out {site}: its temp file {site}.tmp is also an input"),
-        (["predict", "--checkpoint", "{ckpt}", "--tile", "{site}.manifest.json.tmp",
-          "--out", "{site}"],
-         "the manifest {site}.manifest.json: its temp file {site}.manifest.json.tmp "
-         "is also an input"),
-        (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{new}.tmp",
-          "--log-csv", "{new}"],
-         "--log-csv {new}: its temp file {new}.tmp is also the --out path"),
-        (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{new}",
-          "--log-csv", "{new}.tmp"],
-         "--log-csv {new}.tmp is also the temp file of --out {new}"),
     ],
-    ids=["predict-tile", "train-log", "predict-tile-temp", "predict-tile-manifest-temp",
-         "train-log-temp", "train-out-temp"],
+    ids=["predict-tile", "train-log"],
 )
 def test_manifest_onto_an_input_or_output_is_usage_error(tmp_path, capsys, argv, message):
-    """The manifest goes to ``<first output>.manifest.json``, and each
-    output and the manifest are first written to ``<path>.tmp``; when one
-    of these names an input or another output: exit 2, before any file is
-    read or written."""
+    """The manifest goes to ``<first output>.manifest.json``; when that
+    names an input or another output: exit 2, before any file is read or
+    written."""
     data = run_gen(tmp_path, count=1)
-    paths = {"data": data, "site": tmp_path / "site", "ckpt": tmp_path / "m.sunc",
-             "new": tmp_path / "new"}
-    for name in ("site.manifest.json", "site.tmp", "site.manifest.json.tmp"):
-        (tmp_path / name).write_bytes((data / "tile_00000.btt").read_bytes())
+    paths = {"data": data, "site": tmp_path / "site", "ckpt": tmp_path / "m.sunc"}
+    (tmp_path / "site.manifest.json").write_bytes((data / "tile_00000.btt").read_bytes())
     model = init_model(ModelConfig(in_channels=2, base_width=4), 0)
     save_checkpoint(checkpoint_from_model(model), paths["ckpt"])
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert main([a.format(**paths) for a in argv]) == 2
     assert f"error: {message.format(**paths)}" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv, dirs",
+    [
+        (["predict", "--checkpoint", "{ckpt}", "--tile", "{site}.tmp", "--out", "{site}"], ()),
+        (["predict", "--checkpoint", "{ckpt}", "--tile", "{site}.manifest.json.tmp",
+          "--out", "{site}"], ()),
+        (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{new}.tmp",
+          "--log-csv", "{new}"], ()),
+        (["train", "--data-dir", "{data}", "--steps", "1", "--out", "{new}",
+          "--log-csv", "{new}.tmp"], ()),
+        (["predict", "--checkpoint", "{ckpt}", "--tile", "{tile}", "--out", "{site}"],
+         ("site.tmp", "site.manifest.json.tmp")),
+        (["predict", "--checkpoint", "{ckpt}", "--tile", "{tile}", "--out", "{site}"],
+         ("site.manifest.json.tmp",)),
+    ],
+    ids=["predict-tile-temp", "predict-tile-manifest-temp", "train-log-temp", "train-out-temp",
+         "predict-temp-dirs", "predict-manifest-temp-dir"],
+)
+def test_temp_files_never_replace_a_file(tmp_path, argv, dirs):
+    """Each output and the manifest are written through a fresh temp name,
+    so files and directories at ``<path>.tmp``, the run's inputs included,
+    are left as they were and the run succeeds."""
+    data = run_gen(tmp_path, count=1)
+    paths = {"data": data, "tile": data / "tile_00000.btt", "site": tmp_path / "site",
+             "ckpt": tmp_path / "m.sunc", "new": tmp_path / "new"}
+    for name in ("site.tmp", "site.manifest.json.tmp"):
+        if name in dirs:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(paths["tile"].read_bytes())
+    model = init_model(ModelConfig(in_channels=2, base_width=4), 0)
+    save_checkpoint(checkpoint_from_model(model), paths["ckpt"])
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 0
+    manifest = Path(argv[argv.index("--out") + 1] + ".manifest.json")
+    declared = {manifest, *map(Path, json.loads(manifest.read_text())["outputs"])}
+    assert all(p.read_bytes() == old for p, old in before.items() if p not in declared)
+    assert all((tmp_path / name).is_dir() for name in dirs)
+    assert set(tmp_path.rglob("*.tmp")) <= {tmp_path / "site.tmp",
+                                            tmp_path / "site.manifest.json.tmp", *declared}
 
 
 @pytest.mark.parametrize(
@@ -766,6 +793,33 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, argv, target):
     assert main([a.format(**paths) for a in argv]) == 3
     assert old.read_bytes() == b"old"
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--out-dir", "{out}"],
+        ["predict", "--checkpoint", "{ckpt}", "--tile", "{tile}", "--out", "{out}/p.btm"],
+    ],
+    ids=["gen", "predict"],
+)
+def test_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch, argv):
+    """A MemoryError, as numpy raises for an array too large to allocate,
+    is exit 3 with its message, not a traceback, and writes nothing."""
+    data = run_gen(tmp_path, count=1)
+    paths = {"tile": data / "tile_00000.btt", "ckpt": tmp_path / "m.sunc",
+             "out": tmp_path / "out"}
+    model = init_model(ModelConfig(in_channels=2, base_width=4), 0)
+    save_checkpoint(checkpoint_from_model(model), paths["ckpt"])
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "generate_scene", exhausted)
+    monkeypatch.setattr(cli, "predict", exhausted)
+    assert main([a.format(**paths) for a in argv]) == 3
+    assert "error: Unable to allocate 7.28 TiB" in capsys.readouterr().err
+    assert not paths["out"].exists()
 
 
 class TestUsage:
@@ -913,12 +967,33 @@ class TestMalformedInputs:
             (b"step=3\n", b"step=-3", "step must be >= 0, got -3 at byte 37"),
             (b"in_channels=2\n", b"step=3\nstep=3\n", "repeated header key 'step' at byte 17"),
             (b"step=3\n", b"stop=3\n", "unknown header key 'stop' at byte 37"),
+            (b"base_width=4\n", b"base_width=+4\n",
+             "header line 'base_width=+4' is not key=integer at byte 24"),
+            (b"step=3\n", b"step=0_0\n", "header line 'step=0_0' is not key=integer at byte 37"),
+            (b"base_width=4\n", b"base_width= 4 \n",
+             "header line 'base_width= 4 ' is not key=integer at byte 24"),
+            (b"step=3\n", "step=\u0660\n".encode(),
+             "header line 'step=\u0660' is not key=integer at byte 37"),
+            (b"base_width=4\n", b"base_width=4\x0c",
+             r"header line 'base_width=4\x0cstep=3' is not key=integer at byte 24"),
+            (b"base_width=4\n", b"base_width=4\r\n",
+             r"header line 'base_width=4\r' is not key=integer at byte 24"),
+            (b"base_width=4\n", "base_width=4\u2028".encode(),
+             r"header line 'base_width=4\u2028step=3' is not key=integer at byte 24"),
         ],
-        ids=["negative_step", "repeated_key", "unknown_key"],
+        ids=["negative_step", "repeated_key", "unknown_key", "plus_sign", "underscore",
+             "spaces", "arabic_indic_digit", "form_feed", "crlf", "line_separator"],
     )
     def test_bad_header_key_or_step(self, site, tmp_path, capsys, old, new, message):
+        """Header lines end in ``\\n`` and values are ``-?[0-9]+``, as
+        ``save_checkpoint`` writes them; the header length is rewritten to fit."""
         tile, path = site
-        replace_once(path, old, new)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 6)
+        header = blob[10:10 + hlen]
+        assert header.count(old) == 1
+        header = header.replace(old, new)
+        path.write_bytes(blob[:6] + struct.pack("<I", len(header)) + header + blob[10 + hlen:])
         assert predict_rc(path, tile, tmp_path) == 3
         assert message in capsys.readouterr().err
 

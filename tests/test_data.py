@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -169,6 +170,27 @@ def test_failed_write_removes_its_temp_file(tmp_path):
         data.write_atomic(tmp_path / "dir", [b"new"])
     assert target.read_bytes() == b"old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "t.btm"]
+
+
+def test_write_leaves_a_file_at_target_tmp_alone(tmp_path):
+    target, other = tmp_path / "t.btm", tmp_path / "t.btm.tmp"
+    other.write_bytes(b"keep")
+    data.write_atomic(target, [b"new"])
+    assert target.read_bytes() == b"new" and other.read_bytes() == b"keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.btm", "t.btm.tmp"]
+
+
+def test_temp_name_clash_opens_nothing(tmp_path, monkeypatch):
+    """The temp file is created exclusively: when its name is taken, the
+    write raises FileExistsError and neither file changes."""
+    target, clash = tmp_path / "t.btm", tmp_path / "t.btm.00000000.tmp"
+    target.write_bytes(b"old")
+    clash.write_bytes(b"keep")
+    monkeypatch.setattr(os, "urandom", bytes)
+    with pytest.raises(FileExistsError):
+        data.write_atomic(target, [b"new"])
+    assert target.read_bytes() == b"old" and clash.read_bytes() == b"keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [target.name, clash.name]
 
 
 class TestGenerateScene:
