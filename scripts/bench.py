@@ -25,8 +25,8 @@ Then it prints the diff against the newest ``BENCH_<m>.json`` with m < n
 beside the output.  It flags each end-to-end metric whose median worsened
 by more than its ``BENCHMARK.json`` bound, a larger share of failed ops,
 more runs that are not correct, and records taken over other seeds, run
-lengths or named BLAS cores, and it prints both tier-1 runs.  perfbench
-and BENCHMARK.json are only read.
+lengths, named BLAS cores or usable CPU counts, and it prints both tier-1
+runs.  perfbench and BENCHMARK.json are only read.
 
 Given several checkouts, such as a parent and a change, it runs them in
 turns and writes one record for each, so that the machine's slow spells
@@ -73,6 +73,10 @@ NOTES = (
     "each target before its rename (not adopted: it drops that flush) raised "
     "throughput from 91-94 to 106-115 item/s and cut raw op_ms p99 from "
     "14-15 to 12-13 ms, so the disk's load moves this workload.",
+    "predict-512's forward runs on two threads, and perfbench's calibration "
+    "probe times only the calling thread's vCPU: with the other vCPU busy, "
+    "raw op times rise and the probe may not, so read raw_op_ms_p50 and "
+    "probe_ms_median in the run details beside the scaled figures.",
 )
 
 
@@ -225,10 +229,11 @@ def diff(old: dict, new: dict, bench: dict) -> int:
         if old.get(key) != new.get(key):
             print(f"FLAG: {key} differ: {old.get(key)} -> {new.get(key)}")
             flags += 1
-    cores = [r["machine"].get("blas_core") for r in (old, new)]
-    if None not in cores and cores[0] != cores[1]:
-        print(f"FLAG: BLAS cores differ: {cores[0]} -> {cores[1]}")
-        flags += 1
+    for key, what in (("blas_core", "BLAS cores"), ("affinity", "usable CPU counts")):
+        pair = [r["machine"].get(key) for r in (old, new)]
+        if None not in pair and pair[0] != pair[1]:
+            print(f"FLAG: {what} differ: {pair[0]} -> {pair[1]}")
+            flags += 1
     diff_tier1(old.get("tier1"), new.get("tier1"))
     for workload, w in new["workloads"].items():
         o = old["workloads"].get(workload)

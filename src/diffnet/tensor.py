@@ -44,6 +44,21 @@ gradient with a bit mask instead of ``np.where``.
 A ``bw`` hands a gradient it has just allocated to ``_accum`` as owned,
 so the first contribution to a node is not copied.
 
+A map of at least ``2 * _BLOCK`` positions per H x W plane (128 x 128 and
+up; the one rule is ``_mid_row``) splits its rows in two, and ``_halves``
+runs the second range on one kept worker thread while the caller runs
+the first, where the process may use two CPUs.  Four forward kernels
+split so: ``conv2d``, its forward and input gradient, at the middle block
+boundary; the elementwise tail of ``batchnorm2d``, whose statistics stay
+on the caller, and ``relu``, at the middle row; and ``maxpool2x2`` at the
+even row at or below the middle.  The bits cannot move: each output
+element gets the same numpy calls on the same operands on either thread,
+no reduction is split, the blocks are cut the same way with one CPU or
+two, and the worker only fills arrays the caller allocated.  Each kernel
+writes its work once, as a body over a range of rows; a smaller map calls
+that body once on the whole map, without the worker, the preallocated
+outputs or ``_halves``, whose per-call cost showed on 64 x 64 tiles.
+
 Working precision is float32; every kernel is dtype-generic, so the same
 ops run in float64 for numeric gradient checking.  Image tensors use the
 N x C x H x W layout, row-major.
@@ -52,7 +67,9 @@ N x C x H x W layout, row-major.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
+import os
 
 import numpy as np
 
@@ -62,8 +79,8 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 # conv2d computes about this many flat output positions per block of
 # rows, so that a block's accumulator and tap product stay in L2 across
-# all taps
-_BLOCK = 4096
+# all taps; a map of at least two blocks splits its rows across two threads
+_BLOCK = 8192
 
 # batchnorm2d's variance offset and running-statistics update rate
 _BN_EPS = 1e-5
@@ -95,6 +112,49 @@ def _pin_malloc() -> None:
 
 
 _pin_malloc()
+
+# the one kept worker thread of _halves, made on first use; a forked child
+# drops it, since an executor that has run a task hangs there on its next
+# submit (it counts its thread, which the fork did not copy, as idle)
+_worker = None
+
+
+def _drop_worker() -> None:
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _halves(fn, end: int, mid: int) -> None:
+    """Run ``fn(0, mid)`` here and ``fn(mid, end)`` on the kept worker
+    thread, in a copy of this context so that ``np.errstate`` holds there
+    too; both here, in order, where the process may use one CPU only.
+    ``fn`` only fills arrays the caller allocated."""
+    global _worker
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        fn(0, mid)
+        fn(mid, end)
+        return
+    if _worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker = ThreadPoolExecutor(max_workers=1)
+    second = _worker.submit(contextvars.copy_context().run, fn, mid, end)
+    try:
+        fn(0, mid)
+    finally:
+        second.result()
+
+
+def _mid_row(h: int, w: int, step: int = 1) -> int:
+    """The row at which an H x W plane splits for ``_halves``: the middle,
+    rounded down to a multiple of ``step``; 0 (no split) below ``2 * _BLOCK``
+    positions.  Every split kernel asks this one rule."""
+    return h // (2 * step) * step if h * w >= 2 * _BLOCK else 0
+
 
 _grad_enabled = True
 
@@ -426,7 +486,14 @@ def relu(x: Tensor) -> Tensor:
 
     The backward reads the output, not the input: ``out > 0`` is the mask
     ``x > 0``, for signed zeros and NaN too, and the input can be freed."""
-    data = np.maximum(x.data, 0)
+    d = x.data
+    mid = _mid_row(*d.shape[2:]) if d.ndim == 4 else 0
+    if mid:
+        data = np.empty_like(d)
+        _halves(lambda r0, r1: np.maximum(d[:, :, r0:r1], 0, out=data[:, :, r0:r1]),
+                d.shape[2], mid)
+    else:
+        data = np.maximum(d, 0)
 
     def bw(g, nx):
         _accum(nx, g * (data > 0), owned=True)
@@ -486,6 +553,12 @@ def _shifted_taps(pairs: list, flat: np.ndarray, h: int, w: int, wp: int, bias=N
     first W columns are then copied into the result and the bias is added
     to them in place, which is bitwise ``sum[..., :w] + bias``; the Wp-wide
     sum never exists at full size.
+
+    On an H x W plane that ``_mid_row`` splits (which has two blocks or
+    more), the blocks split at the middle block boundary into two row
+    ranges, each with its own pair of block buffers, and the second range
+    runs on ``_halves``'s worker thread.  A block is summed and cropped the
+    same way on either thread, so the bits do not move.
     """
     (tap0, off0), rest = pairs[0], pairs[1:]
     n, rows = flat.shape[0], tap0.shape[0]
@@ -494,23 +567,35 @@ def _shifted_taps(pairs: list, flat: np.ndarray, h: int, w: int, wp: int, bias=N
     dtype = np.result_type(tap0, flat)
     shape = (n, rows, h, w)
     out_dtype = dtype if bias is None else np.result_type(dtype, bias)
-    acc = np.empty(n * rows * -(-h // nb) * wp, dtype=dtype)
-    tmp = np.empty_like(acc)
+    mid = _mid_row(h, w) and nb // 2  # the split block, 0 for none
+    size = n * rows * -(-h // nb) * wp
+    # the sum and tap-product block buffers, one pair per row range
+    bufs = [(np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
+            for _ in range(2 if mid else 1)]
     out = np.empty(shape, dtype=out_dtype) if nb > 1 else None
-    for r0, r1 in zip(bounds, bounds[1:]):
-        c0, c1 = r0 * wp, r1 * wp
-        blk = acc[: n * rows * (c1 - c0)].reshape(n, rows, c1 - c0)
-        np.matmul(tap0, flat[:, :, off0 + c0 : off0 + c1], out=blk)
-        t = tmp[: blk.size].reshape(blk.shape)
-        for tap, off in rest:
-            blk += np.matmul(tap, flat[:, :, off + c0 : off + c1], out=t)
-        if out is None:  # one block: free the tap scratch before the result
-            tmp = t = None
-            out = np.empty(shape, dtype=out_dtype)
-        dst = out[:, :, r0:r1]
-        dst[...] = blk.reshape(n, rows, r1 - r0, wp)[..., :w]
-        if bias is not None:
-            dst += bias[None, :, None, None]
+
+    def run(b0, b1):  # blocks b0 .. b1 - 1
+        nonlocal out
+        acc, tmp = bufs.pop()
+        for r0, r1 in zip(bounds[b0:b1], bounds[b0 + 1 : b1 + 1]):
+            c0, c1 = r0 * wp, r1 * wp
+            blk = acc[: n * rows * (c1 - c0)].reshape(n, rows, c1 - c0)
+            np.matmul(tap0, flat[:, :, off0 + c0 : off0 + c1], out=blk)
+            t = tmp[: blk.size].reshape(blk.shape)
+            for tap, off in rest:
+                blk += np.matmul(tap, flat[:, :, off + c0 : off + c1], out=t)
+            if out is None:  # one block: free the tap scratch before the result
+                tmp = t = None
+                out = np.empty(shape, dtype=out_dtype)
+            dst = out[:, :, r0:r1]
+            dst[...] = blk.reshape(n, rows, r1 - r0, wp)[..., :w]
+            if bias is not None:
+                dst += bias[None, :, None, None]
+
+    if mid:
+        _halves(run, nb, mid)
+    else:
+        run(0, nb)
     return out
 
 
@@ -633,12 +718,21 @@ def batchnorm2d(
 
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     mean4, inv4 = mean[None, :, None, None], inv[None, :, None, None]
-    out_data = np.subtract(x.data, mean4, out=buf)
-    out_data *= inv4
-    out_data *= gamma.data[None, :, None, None]
-    out_data += beta.data[None, :, None, None]
-
     xd, gd = x.data, gamma.data
+
+    def tail(rows, out):  # into out, or a new array when out is None
+        out = np.subtract(rows, mean4, out=out)
+        out *= inv4
+        out *= gd[None, :, None, None]
+        out += beta.data[None, :, None, None]
+        return out
+
+    mid = _mid_row(*xd.shape[2:])
+    if mid:
+        out_data = np.empty_like(xd) if buf is None else buf
+        _halves(lambda r0, r1: tail(xd[:, :, r0:r1], out_data[:, :, r0:r1]), xd.shape[2], mid)
+    else:
+        out_data = tail(xd, buf)
 
     def bw(g, nx, ngamma, nbeta):
         xhat = xd - mean4
@@ -686,8 +780,19 @@ def maxpool2x2(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 requires even H and W, got {h}x{w}")
     d = x.data
-    cols = np.maximum(d[..., 0::2], d[..., 1::2])
-    out_data = np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
+
+    def pool(rows, cols=None, out=None):  # an even number of rows
+        cols = np.maximum(rows[..., 0::2], rows[..., 1::2], out=cols)
+        return np.maximum(cols[:, :, 0::2], cols[:, :, 1::2], out=out)
+
+    mid = _mid_row(h, w, step=2)
+    if mid:
+        cols = np.empty((n, c, h, w // 2), dtype=d.dtype)
+        out_data = np.empty((n, c, h // 2, w // 2), dtype=d.dtype)
+        _halves(lambda r0, r1: pool(d[:, :, r0:r1], cols[:, :, r0:r1],
+                                    out_data[:, :, r0 // 2 : r1 // 2]), h, mid)
+    else:
+        out_data = pool(d)
 
     def bw(g, nx):
         u = _UINT[g.dtype]

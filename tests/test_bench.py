@@ -76,6 +76,15 @@ def test_other_blas_cores_are_flagged(bench, capsys):
     assert "FLAG: BLAS cores differ: SkylakeX -> Haswell" in capsys.readouterr().out
 
 
+def test_other_cpu_counts_are_flagged(bench, capsys):
+    """The forward kernels split large maps across two threads, so their
+    speed depends on how many CPUs the run may use."""
+    old, new = record(), record()
+    old["machine"]["affinity"], new["machine"]["affinity"] = 2, 1
+    assert bench.diff(old, new, BENCH) == 1
+    assert "FLAG: usable CPU counts differ: 2 -> 1" in capsys.readouterr().out
+
+
 def test_a_side_without_a_blas_core_is_not_flagged(bench, capsys):
     old, new = record(), record()
     new["machine"]["blas_core"] = "Haswell"

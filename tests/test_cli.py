@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from diffnet import __version__, cli
 from diffnet.cli import CONFUSION_COLORS, build_parser, main, render_confusion, write_manifest
 from diffnet.data import (
+    BitemporalTile,
     SceneParams,
     generate_scene,
     read_mask,
@@ -423,6 +425,25 @@ class TestPredict:
         assert rc == 3
         err = capsys.readouterr().err
         assert "3" in err and "2" in err
+
+    def test_overflow_on_the_worker_thread_is_a_numeric_failure(self, tmp_path, capsys):
+        """A 128x128 tile splits enc1's conv2d at row 64, and its finite
+        but huge values lie in rows 96-127, which only the worker thread
+        reads: the caller's float traps hold there too.  Warnings are
+        errors here, so a worker without them fails with a RuntimeWarning."""
+        model = init_model(ModelConfig(in_channels=2, base_width=4), seed=0)
+        pre = np.random.default_rng(0).standard_normal((2, 128, 128)).astype(np.float32)
+        pre[:, 96:] = 3e38
+        tile = BitemporalTile(pre, np.zeros_like(pre), np.zeros((128, 128), np.uint8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                predict(model, tile)
+            save_checkpoint(checkpoint_from_model(model), tmp_path / "m.sunc")
+            write_tile(tile, tmp_path / "t.btt")
+            assert predict_rc(tmp_path / "m.sunc", tmp_path / "t.btt", tmp_path) == 4
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "p.btm").exists()
 
 
 class TestEval:

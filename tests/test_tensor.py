@@ -3,14 +3,21 @@
 import ctypes
 import gc
 import itertools
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diffnet import tensor as tensor_module
 from diffnet.errors import ContractError, ShapeError
 from diffnet.losses import LossConfig
 from diffnet.tensor import (
@@ -693,12 +700,13 @@ def naive_conv2d(x, w, b, g):
 )
 @example(n=2, cin=3, cout=5, h=4, w=7, k=3, seed=0)
 @example(n=3, cin=4, cout=2, h=6, w=3, k=1, seed=1)
-@example(n=2, cin=3, cout=5, h=96, w=90, k=3, seed=2)  # H*(W+2) >= 2*_BLOCK: row blocks
-@example(n=2, cin=3, cout=5, h=96, w=90, k=1, seed=3)
-@example(n=1, cin=2, cout=3, h=97, w=90, k=3, seed=4)  # rows split 48 + 49
-@example(n=1, cin=2, cout=3, h=7, w=1800, k=3, seed=7)  # 2 + 2 + 3: a middle block is shorter
-@example(n=1, cin=2, cout=3, h=2, w=4200, k=3, seed=5)  # short and wide: one row per block
-@example(n=1, cin=2, cout=3, h=1, w=9000, k=3, seed=6)  # more blocks' worth than rows
+@example(n=2, cin=3, cout=5, h=96, w=180, k=3, seed=2)  # H*(W+2) >= 2*_BLOCK: row blocks
+@example(n=2, cin=3, cout=5, h=96, w=180, k=1, seed=3)
+@example(n=1, cin=2, cout=3, h=97, w=170, k=3, seed=4)  # rows split 48 + 49
+@example(n=1, cin=2, cout=3, h=7, w=3600, k=3, seed=7)  # 2 + 2 + 3: a middle block is shorter
+@example(n=1, cin=2, cout=3, h=2, w=8400, k=3, seed=5)  # short and wide: one row per block
+@example(n=1, cin=2, cout=3, h=1, w=18000, k=3, seed=6)  # more blocks' worth than rows
+@example(n=1, cin=2, cout=3, h=130, w=128, k=3, seed=8)  # two row ranges split at row 65
 def test_conv2d_matches_naive_reference(n, cin, cout, h, w, k, seed):
     g = np.random.default_rng(seed)
     x = g.standard_normal((n, cin, h, w))
@@ -712,6 +720,105 @@ def test_conv2d_matches_naive_reference(n, cin, cout, h, w, k, seed):
     for got, ref in ((out.data, ref_out), (tw.grad, ref_gw), (tb.grad, ref_gb), (tx.grad, ref_gx)):
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+
+# -- two row ranges on two threads ---------------------------------------------
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def split_map(rng):
+    """A float32 map of at least 2 * _BLOCK positions per plane, split at
+    the odd row 65 (maxpool2x2 at the even row 64)."""
+    x = randn(rng, 1, 8, 130, 128)
+    assert 130 * 128 >= 2 * _BLOCK
+    return x
+
+
+def conv2d_run(x, wt, b, up):
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+    out = conv2d(tx, tw, tb)
+    tsum(mul(out, up)).backward()
+    return out.data, tx.grad, tw.grad, tb.grad
+
+
+def batchnorm2d_run(x, gamma, beta, mode):
+    rmean, rvar = np.linspace(-1, 1, 8, dtype=np.float32), np.linspace(0.5, 2, 8, dtype=np.float32)
+    with no_grad():
+        out = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), rmean, rvar, mode)
+    return out.data, rmean, rvar
+
+
+class TestTwoRowRanges:
+    """Each split kernel gives the same bits with two usable CPUs, its
+    second row range on the worker thread, as with one, both ranges here,
+    and as its body called once on the whole map, as for a small map."""
+
+    @staticmethod
+    def same_bits(monkeypatch, run):
+        split = run()
+        one_cpu(monkeypatch)
+        serial = run()
+        monkeypatch.setattr(tensor_module, "_mid_row", lambda h, w, step=1: 0)
+        whole = run()
+        for a, b, c in zip(split, serial, whole, strict=True):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, c)
+
+    def test_conv2d(self, rng, monkeypatch):
+        x, wt, b = split_map(rng), randn(rng, 6, 8, 3, 3), randn(rng, 6)
+        up = randn(rng, 1, 6, 130, 128)
+        self.same_bits(monkeypatch, lambda: conv2d_run(x, wt, b, up))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batchnorm2d(self, rng, monkeypatch, mode):
+        x, gamma, beta = split_map(rng), randn(rng, 8), randn(rng, 8)
+        self.same_bits(monkeypatch, lambda: batchnorm2d_run(x, gamma, beta, mode))
+
+    def test_relu(self, rng, monkeypatch):
+        x = Tensor(split_map(rng))
+        self.same_bits(monkeypatch, lambda: [relu(x).data])
+
+    def test_maxpool2x2(self, rng, monkeypatch):
+        x = Tensor(split_map(rng))
+        self.same_bits(monkeypatch, lambda: [maxpool2x2(x).data])
+
+
+# Python 3.12 and later warn when a process with threads forks
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_forked_child_runs_a_split_conv2d(rng):
+    """The worker has run a task before the fork; the child makes its own."""
+    x, wt, b = Tensor(split_map(rng)), Tensor(randn(rng, 8, 8, 3, 3)), Tensor(randn(rng, 8))
+    with no_grad():
+        want = conv2d(x, wt, b).data
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with no_grad():
+                os._exit(0 if np.array_equal(conv2d(x, wt, b).data, want) else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's conv2d did not finish in 30 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_import_starts_no_thread():
+    """The worker and ``concurrent.futures`` wait for the first split map."""
+    script = (
+        "import sys, threading, diffnet\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.stdout.split() == ["1", "False"], out.stderr
 
 
 # -- memory of the forward kernels ---------------------------------------------
@@ -733,23 +840,23 @@ SLACK = 64 * 1024  # small arrays and Python objects
 
 
 def block_bytes(n, c, h, w, k):
-    """Bytes of one of ``_shifted_taps``'s two block buffers: the largest
-    block of whole rows, Wp wide, over ``c`` channels."""
+    """Bytes of one of ``_shifted_taps``'s block buffers, two per row
+    range: the largest block of whole rows, Wp wide, over ``c`` channels."""
     wp = w + k - 1
     nb = max(1, min(h, h * wp // _BLOCK))
     return n * c * -(-h // nb) * wp * 4
 
 
 def test_conv2d_forward_holds_one_block_of_temporaries(rng):
-    """Padded input, output and two block buffers: no Wp-wide sum exists
-    at full size."""
+    """Padded input, output and two block buffers per row range: no
+    Wp-wide sum exists at full size."""
     n, c, h, w = 1, 8, 256, 256
     x, wt, b = Tensor(randn(rng, n, c, h, w)), Tensor(randn(rng, c, c, 3, 3)), Tensor(randn(rng, c))
     with no_grad():
         out, peak = traced_peak(lambda: conv2d(x, wt, b))
     padded = n * c * ((h + 2) * (w + 2) + 2) * 4
     assert h * (w + 2) >= 2 * _BLOCK
-    assert peak <= padded + out.data.nbytes + 2 * block_bytes(n, c, h, w, 3) + SLACK
+    assert peak <= padded + out.data.nbytes + 2 * 2 * block_bytes(n, c, h, w, 3) + SLACK
 
 
 def test_conv2d_input_gradient_holds_one_block_of_temporaries(rng):
@@ -763,7 +870,7 @@ def test_conv2d_input_gradient_holds_one_block_of_temporaries(rng):
     _, peak = traced_peak(out._backward)
     padded = n * c * ((h + 2) * (w + 2) + 2) * 4
     assert h * (w + 2) >= 2 * _BLOCK
-    assert peak <= padded + x.grad.nbytes + 2 * block_bytes(n, c, h, w, 3) + SLACK
+    assert peak <= padded + x.grad.nbytes + 2 * 2 * block_bytes(n, c, h, w, 3) + SLACK
 
 
 def test_conv2d_with_grad_keeps_no_more_than_its_output(rng):
