@@ -20,7 +20,8 @@ output since ``out > 0`` is the mask ``x > 0``, signed zeros and NaN
 included, so its input, a batch-norm output, is freed.  ``conv2d`` saves
 its input, not the padded copy its forward reads: its backward pads the
 input again for the weight gradient and frees that copy before the
-input-gradient loop.  Under ``no_grad`` no node is made.
+input-gradient loop.  Under ``no_grad`` no node is made; graph mode is a
+context variable, so it holds per thread and per asyncio task.
 
 ``Tensor.backward`` walks the nodes once, in reverse topological order,
 and consumes the graph: once a node's ``_backward`` has run, the node
@@ -113,36 +114,31 @@ def _pin_malloc() -> None:
 
 _pin_malloc()
 
-# the one kept worker thread of _halves, made on first use; a forked child
-# drops it, since an executor that has run a task hangs there on its next
-# submit (it counts its thread, which the fork did not copy, as idle)
-_worker = None
-
-
-def _drop_worker() -> None:
-    global _worker
-    _worker = None
-
-
+# _halves's one kept worker thread, stored once; a forked child empties the
+# dict, since an executor that has run a task hangs there on its next submit
+# (it counts its thread, which the fork did not copy, as idle)
+_worker = {}
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
+    os.register_at_fork(after_in_child=_worker.clear)
 
 
 def _halves(fn, end: int, mid: int) -> None:
     """Run ``fn(0, mid)`` here and ``fn(mid, end)`` on the kept worker
-    thread, in a copy of this context so that ``np.errstate`` holds there
-    too; both here, in order, where the process may use one CPU only.
-    ``fn`` only fills arrays the caller allocated."""
-    global _worker
+    thread, in a copy of this context so that ``np.errstate`` and graph
+    mode hold there too; both here, in order, where the process may use
+    one CPU only.  ``fn`` only fills arrays the caller allocated."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         fn(0, mid)
         fn(mid, end)
         return
-    if _worker is None:
+    worker = _worker.get("split")
+    if worker is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _worker = ThreadPoolExecutor(max_workers=1)
-    second = _worker.submit(contextvars.copy_context().run, fn, mid, end)
+        # one racing setdefault wins; a losing executor has started no thread
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="diffnet-split")
+        worker = _worker.setdefault("split", pool)
+    second = worker.submit(contextvars.copy_context().run, fn, mid, end)
     try:
         fn(0, mid)
     finally:
@@ -156,18 +152,17 @@ def _mid_row(h: int, w: int, step: int = 1) -> int:
     return h // (2 * step) * step if h * w >= 2 * _BLOCK else 0
 
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the ``with`` body (inference paths)."""
-    global _grad_enabled
-    prev, _grad_enabled = _grad_enabled, False
+    """Disable graph recording in this thread or asyncio task for the body."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class _Node:
@@ -201,7 +196,7 @@ class Tensor:
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
-        self._node = _Node() if requires_grad and _grad_enabled else None
+        self._node = _Node() if requires_grad and _grad_enabled.get() else None
 
     @property
     def requires_grad(self) -> bool:
@@ -364,7 +359,7 @@ def _make(data: np.ndarray, parents: tuple, bw) -> Tensor:
     over the output."""
     inputs = tuple(p._node for p in parents)
     out = Tensor(data)
-    if _grad_enabled and any(n is not None for n in inputs):
+    if _grad_enabled.get() and any(n is not None for n in inputs):
         node = out._node = _Node(tuple(n for n in inputs if n is not None))
         node._backward = lambda: bw(node._grad, *inputs)
     return out

@@ -372,14 +372,17 @@ def train(
 def predict(model: SiameseUNet, tile: BitemporalTile, threshold: float = 0.5) -> np.ndarray:
     """Eval-mode forward pass binarized at the threshold; nodata pixels in
     the tile mask propagate to the output as 255.  A forward that overflows,
-    as finite but huge weights or images make it, raises FloatingPointError
+    as finite but huge weights or images make it, or whose probabilities
+    hold a NaN, as a NaN in the images makes them, raises FloatingPointError
     rather than giving a mask."""
     if not 0.0 <= threshold < 1.0:
         raise ConfigError(f"threshold must lie in [0, 1), got {threshold}")
     with no_grad(), np.errstate(over="raise", invalid="raise"):
         probs = model.forward(
             Tensor(tile.pre[None]), Tensor(tile.post[None]), mode="eval"
-        )
-    out = (probs.data[0, 0] >= threshold).astype(np.uint8)
+        ).data[0, 0]
+    if np.isnan(probs.min()):
+        raise FloatingPointError("invalid value encountered in predict: NaN probabilities")
+    out = (probs >= threshold).astype(np.uint8)
     out[tile.mask == NODATA] = NODATA
     return out

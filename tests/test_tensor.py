@@ -1,5 +1,8 @@
 """Forward semantics and shape contracts of the autodiff primitives."""
 
+import ast
+import asyncio
+import concurrent.futures
 import ctypes
 import gc
 import itertools
@@ -7,9 +10,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -729,6 +734,10 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def split_map(rng):
     """A float32 map of at least 2 * _BLOCK positions per plane, split at
     the odd row 65 (maxpool2x2 at the even row 64)."""
@@ -819,6 +828,127 @@ def test_import_starts_no_thread():
     env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert out.stdout.split() == ["1", "False"], out.stderr
+
+
+# -- graph mode and the worker across threads ------------------------------------
+
+
+def run_threads(*bodies):
+    """Run each body on its own thread; their results in order, or the
+    first body's failure raised here."""
+    with ThreadPoolExecutor(len(bodies)) as pool:
+        futures = [pool.submit(body) for body in bodies]
+        return [f.result(timeout=30) for f in futures]
+
+
+def split_threads():
+    return sum(t.name.startswith("diffnet-split") for t in threading.enumerate())
+
+
+def test_overlapping_no_grad_blocks_on_two_threads():
+    """A enters, B enters, A leaves, B leaves: each block holds for its own
+    thread only, and recording is on again once both have left."""
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+    def a():
+        with no_grad():
+            a_in.set()
+            assert b_in.wait(10)
+        a_out.set()
+
+    def b():
+        assert a_in.wait(10)
+        with no_grad():
+            b_in.set()
+            assert a_out.wait(10)
+            return (x * 2).requires_grad
+
+    assert run_threads(a, b) == [None, False]
+    assert (x * 2).requires_grad
+
+
+def test_a_thread_records_while_another_is_in_no_grad():
+    inside, done = threading.Event(), threading.Event()
+
+    def holder():
+        with no_grad():
+            inside.set()
+            assert done.wait(10)
+
+    def maker():
+        try:
+            assert inside.wait(10)
+            t = Tensor(np.ones(3, np.float32), requires_grad=True)
+            return t.requires_grad, (t * 2).requires_grad
+        finally:
+            done.set()
+
+    assert run_threads(holder, maker) == [None, (True, True)]
+
+
+def test_no_grad_in_one_asyncio_task_leaves_another_recording():
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+
+    async def holder():
+        with no_grad():
+            await asyncio.sleep(0)
+            return (x * 2).requires_grad
+
+    async def recorder():
+        return (x * 2).requires_grad
+
+    async def both():
+        return await asyncio.gather(holder(), recorder())
+
+    assert asyncio.run(both()) == [False, True]
+
+
+def test_racing_first_splits_share_one_worker(monkeypatch):
+    """Two threads make their first split together, both held in the
+    executor's constructor until the other arrives: one executor runs both
+    second ranges, and the other starts no thread."""
+    made, arrived = [], threading.Barrier(2, timeout=10)
+
+    class HeldExecutor(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submits = 0
+            made.append(self)
+            arrived.wait()
+
+        def submit(self, *args, **kwargs):
+            self.submits += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldExecutor)
+    monkeypatch.setattr(tensor_module, "_worker", {})
+    two_cpus(monkeypatch)
+    ranges, before = [], split_threads()
+
+    def first_split():
+        tensor_module._halves(lambda *r: ranges.append(r), 2, 1)
+
+    try:
+        run_threads(first_split, first_split)
+        assert sorted(ranges) == [(0, 1), (0, 1), (1, 2), (1, 2)]
+        assert sorted(e.submits for e in made) == [0, 2]
+        assert split_threads() == before + 1
+    finally:
+        for e in made:
+            e.shutdown()
+
+
+def test_no_module_rebinds_a_global():
+    """Module state is bound once: per-call state lives in the context."""
+    src = Path(tensor_module.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
 
 
 # -- memory of the forward kernels ---------------------------------------------

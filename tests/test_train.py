@@ -2,10 +2,13 @@
 thresholded prediction."""
 
 import gc
+import os
 import re
 import sys
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -551,3 +554,44 @@ class TestPredict:
                 pass
             assert not (x * 2).requires_grad
         assert (x * 2).requires_grad
+
+    @pytest.mark.parametrize("image", ["pre", "post"])
+    def test_nan_in_an_image_raises_rather_than_giving_a_mask(self, image):
+        """A NaN propagates through the forward without an invalid
+        operation; the probabilities' NaN is refused like an overflow."""
+        tile = tiny_tiles(1)[0]
+        getattr(tile, image)[1, 5, 7] = np.nan
+        with pytest.raises(FloatingPointError, match="invalid value"):
+            predict(init_model(TINY, seed=3), tile)
+
+    def test_predict_from_a_thread_pool_then_train_is_serial(self, monkeypatch):
+        """32 calls from two threads give the serial masks and leave graph
+        recording on: a ``train()`` after them equals one before them."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        model, tiles = init_model(TINY, seed=3), tiny_tiles(4, size=(128, 128))
+        want = [predict(model, t) for t in tiles]
+        cfg = TrainConfig(steps=2, batch_size=2, patch_size=32, seed=3)
+        serial, _ = train(init_model(TINY, seed=1), tiny_tiles(), cfg)
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(lambda i: predict(model, tiles[i % 4]), range(32)))
+        for i, mask in enumerate(got):
+            assert np.array_equal(mask, want[i % 4]), i
+        after, _ = train(init_model(TINY, seed=1), tiny_tiles(), cfg)
+        for name, arr in (serial.params | serial.buffers).items():
+            assert (after.params | after.buffers)[name].tobytes() == arr.tobytes(), name
+
+    def test_two_threads_predict_large_tiles_through_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        model, tiles = init_model(TINY, seed=3), tiny_tiles(2, size=(256, 256))
+        want = [predict(model, t) for t in tiles]
+        together = threading.Barrier(2, timeout=10)
+
+        def run(tile):
+            together.wait()
+            return predict(model, tile)
+
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(run, tiles))
+        for mask, serial in zip(got, want, strict=True):
+            assert np.array_equal(mask, serial)
+        assert sum(t.name.startswith("diffnet-split") for t in threading.enumerate()) == 1
