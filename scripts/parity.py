@@ -23,7 +23,6 @@ output against ``tests/golden/parity.txt``, which is regenerated with:
     PYTHONPATH=src python scripts/parity.py > tests/golden/parity.txt
 """
 
-import ctypes
 import hashlib
 import platform
 import sys
@@ -32,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from diffnet.cli import main as cli_main
+from diffnet.cli import blas_core, main as cli_main
 from diffnet.data import NODATA, SceneParams, generate_scene, write_tile
 from diffnet.losses import LossConfig
 from diffnet.model import ModelConfig, init_model
@@ -96,16 +95,6 @@ def digests():
             yield f"cli.{name}.64x64", hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def blas_core() -> str:
-    """The kernel set numpy's OpenBLAS chose for this CPU or as ``OPENBLAS_CORETYPE`` forced."""
-    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*.so*")):
-        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            if hasattr(lib, symbol):  # char *corename(void)
-                return ctypes.CFUNCTYPE(ctypes.c_char_p)((symbol, lib))().decode()
-    return "unknown"
-
-
 def machine_key() -> dict[str, str]:
     cpu = platform.processor() or "unknown"
     try:
@@ -118,7 +107,7 @@ def machine_key() -> dict[str, str]:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+    except KeyError:
         blas = "unknown"
     python = "%d.%d" % sys.version_info[:2]
     key = {"cpu": cpu, "python": python, "numpy": np.__version__, "blas": blas}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import json
 import os
@@ -81,43 +82,27 @@ _PALETTE = np.array(
 )
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers >= ``low``; any other value is a usage
-    error (exit 2) whose message names the flag."""
+def _checked(expected: str, convert, ok):
+    """An argparse type: ``convert(text)`` where ``ok`` accepts it; other
+    text is a usage error (exit 2) naming the flag and what was ``expected``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
     return parse
 
 
-_seed = _int_at_least(0)  # PCG64 takes no negative seed
-
-
-def _pos_weight(text: str) -> str:
-    """An argparse type: ``auto`` or a finite number, kept as typed for the manifest."""
-    try:
-        if text == "auto" or np.isfinite(float(text)):
-            return text
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
-
-
-def _threshold(text: str) -> float:
-    """An argparse type: a number in [0, 1), the range ``predict()`` takes."""
-    try:
-        if 0.0 <= float(text) < 1.0:  # false for NaN
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
+_seed = _checked("an integer >= 0", int, lambda v: v >= 0)  # PCG64 takes no negative seed
+# kept as typed, for the manifest
+_pos_weight = _checked("'auto' or a number", str, lambda t: t == "auto" or np.isfinite(float(t)))
+# the range predict() takes; false for NaN
+_threshold = _checked("a number in [0, 1)", float, lambda v: 0.0 <= v < 1.0)
 
 
 def resolve_seed(flag_value: int | None) -> int:
@@ -315,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate synthetic bitemporal tiles")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--count", type=_int_at_least(1), default=1)
+    g.add_argument("--count", type=_checked("an integer >= 1", int, lambda v: v >= 1), default=1)
     g.add_argument("--seed", type=_seed, default=None)
     g.add_argument("--channels", type=int, default=SceneParams.channels)
     g.add_argument("--height", type=int, default=SceneParams.size[0])
@@ -388,7 +373,38 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+# OpenBLAS functions with their C types, by the name both symbol spellings share
+_OPENBLAS = {
+    "get_corename": ctypes.CFUNCTYPE(ctypes.c_char_p),
+    "get_num_threads": ctypes.CFUNCTYPE(ctypes.c_int),
+    "set_num_threads": ctypes.CFUNCTYPE(None, ctypes.c_int),
+}
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas(name: str):
+    """Function ``name`` of numpy's bundled OpenBLAS, or None if it bundles none."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, symbol):
+                return _OPENBLAS[name]((symbol, lib))
+    return None
+
+
+def blas_core() -> str:
+    """The kernel set numpy's OpenBLAS chose for this CPU or as ``OPENBLAS_CORETYPE`` forced."""
+    corename = _openblas("get_corename")
+    return corename().decode() if corename else "unknown"
+
+
 def entrypoint() -> None:
+    """The ``diffnet`` command.  OpenBLAS gets one thread unless one of
+    ``_BLAS_THREAD_VARS`` is set, so that its threads leave the second CPU
+    to the forward kernels, which split the rows of large maps in two."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads and not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+        set_threads(1)
     sys.exit(main())
 
 

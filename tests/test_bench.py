@@ -94,8 +94,8 @@ def test_a_side_without_a_blas_core_is_not_flagged(bench, capsys):
 
 
 def test_blas_core_comes_from_parity(bench):
-    """bench.py reads the core through ``scripts/parity.py``'s
-    ``blas_core()``, the one lookup, so both name the same core."""
+    """bench.py and ``scripts/parity.py`` both read the core through
+    ``diffnet.cli.blas_core``, the one lookup, so both name the same core."""
     spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)

@@ -5,6 +5,8 @@ import errno
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -923,6 +925,53 @@ class TestUsage:
             recorded = json.loads(Path(f"{out}.manifest.json").read_text())["args"]
             for flag, value in defaults[argv[0]].items():
                 assert recorded[flag] == value and type(recorded[flag]) is type(value), flag
+
+
+def blas_threads_in_child(script: str, **env) -> list[int]:
+    """The numbers a child running ``script`` prints, with the BLAS thread
+    variables unset but for ``env``."""
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS} | env
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return [int(n) for n in out.stdout.split()]
+
+
+@pytest.mark.skipif(
+    cli._openblas("get_num_threads") is None or len(os.sched_getaffinity(0)) < 2,
+    reason="numpy bundles no OpenBLAS, or OpenBLAS would take one thread anyway",
+)
+class TestEntrypoint:
+    """The ``diffnet`` command runs OpenBLAS on one thread, so that its
+    threads leave the second CPU to the split forward kernels."""
+
+    STUB = (
+        "from diffnet import cli\n"
+        "cli.main = lambda: print(cli._openblas('get_num_threads')()) or 0\n"
+        "cli.entrypoint()\n"
+    )
+
+    def test_sets_one_thread(self):
+        assert blas_threads_in_child(self.STUB) == [1]
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_keeps_the_users_thread_count(self, var):
+        assert blas_threads_in_child(self.STUB, **{var: "2"}) == [2]
+
+    def test_import_leaves_the_thread_count(self):
+        """Read before the import without diffnet's own lookup."""
+        script = (
+            "import ctypes, pathlib, numpy\n"
+            "libs = pathlib.Path(numpy.__file__).parents[1] / 'numpy.libs'\n"
+            "lib = ctypes.CDLL(str(next(libs.glob('*openblas*.so*'))))\n"
+            "get = getattr(lib, 'scipy_openblas_get_num_threads64_', None)"
+            " or lib.openblas_get_num_threads\n"
+            "before = get()\n"
+            "import diffnet, diffnet.cli\n"
+            "print(before, get())\n"
+        )
+        before, after = blas_threads_in_child(script)
+        assert before > 1 and after == before
 
 
 def test_manifest_bytes(tmp_path):

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from diffnet.cli import main
+from diffnet.cli import _openblas, main
 from diffnet.data import SceneParams, generate_scene, write_tile
 from diffnet.errors import (
     CheckpointFormatError,
@@ -579,6 +579,25 @@ class TestPredict:
         after, _ = train(init_model(TINY, seed=1), tiny_tiles(), cfg)
         for name, arr in (serial.params | serial.buffers).items():
             assert (after.params | after.buffers)[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.skipif(_openblas("set_num_threads") is None,
+                        reason="numpy bundles no OpenBLAS")
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        model = init_model(ModelConfig(in_channels=8, base_width=8), seed=3)
+        tile = generate_scene(SceneParams(channels=8, size=(256, 256)), seed=11)
+        get, set_threads = _openblas("get_num_threads"), _openblas("set_num_threads")
+        before, runs = get(), []
+        try:
+            for n in (1, 2):
+                set_threads(n)
+                assert get() == n
+                with no_grad():
+                    probs = model.forward(Tensor(tile.pre[None]), Tensor(tile.post[None]))
+                runs.append((probs.data.tobytes(), predict(model, tile).tobytes()))
+        finally:
+            set_threads(before)
+        assert runs[0] == runs[1]
 
     def test_two_threads_predict_large_tiles_through_one_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
