@@ -122,10 +122,6 @@ def lines():
         yield f"{name} {hexdigest}"
 
 
-def main() -> None:
+if __name__ == "__main__":
     for line in lines():
         print(line)
-
-
-if __name__ == "__main__":
-    main()

@@ -98,7 +98,11 @@ def _checked(expected: str, convert, ok):
     return parse
 
 
-_seed = _checked("an integer >= 0", int, lambda v: v >= 0)  # PCG64 takes no negative seed
+def _at_least(low: int):
+    return _checked(f"an integer >= {low}", int, lambda v: v >= low)
+
+
+_seed = _at_least(0)  # PCG64 takes no negative seed
 # kept as typed, for the manifest
 _pos_weight = _checked("'auto' or a number", str, lambda t: t == "auto" or np.isfinite(float(t)))
 # the range predict() takes; false for NaN
@@ -300,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate synthetic bitemporal tiles")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--count", type=_checked("an integer >= 1", int, lambda v: v >= 1), default=1)
+    g.add_argument("--count", type=_at_least(1), default=1)
     g.add_argument("--seed", type=_seed, default=None)
     g.add_argument("--channels", type=int, default=SceneParams.channels)
     g.add_argument("--height", type=int, default=SceneParams.size[0])
@@ -399,11 +403,13 @@ def blas_core() -> str:
 
 
 def entrypoint() -> None:
-    """The ``diffnet`` command.  OpenBLAS gets one thread unless one of
-    ``_BLAS_THREAD_VARS`` is set, so that its threads leave the second CPU
-    to the forward kernels, which split the rows of large maps in two."""
+    """The ``diffnet`` command.  On up to 2 usable CPUs, where it was
+    measured, OpenBLAS gets one thread unless one of ``_BLAS_THREAD_VARS``
+    is set, so that its threads leave the second CPU to the forward
+    kernels, which split the rows of large maps in two."""
     set_threads = _openblas("set_num_threads")
-    if set_threads and not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+    if (set_threads and not any(os.environ.get(v) for v in _BLAS_THREAD_VARS)
+            and len(os.sched_getaffinity(0)) <= 2):
         set_threads(1)
     sys.exit(main())
 

@@ -93,13 +93,19 @@ def test_a_side_without_a_blas_core_is_not_flagged(bench, capsys):
     assert "FLAG" not in capsys.readouterr().out
 
 
-def test_blas_core_comes_from_parity(bench):
-    """bench.py and ``scripts/parity.py`` both read the core through
-    ``diffnet.cli.blas_core``, the one lookup, so both name the same core."""
+def test_blas_core_comes_from_parity():
+    """``scripts/parity.py`` names the core with ``diffnet.cli.blas_core``,
+    which ``scripts/bench.py`` imports too, and no other file in ``src/``
+    or ``scripts/`` opens numpy's OpenBLAS, so both name the same core."""
+    import diffnet.cli
+
     spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)
-    assert bench.blas_core() == parity.blas_core()
+    assert parity.blas_core is diffnet.cli.blas_core
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    opening = [p.name for p in files if "ctypes" in (t := p.read_text()) and "openblas" in t.lower()]
+    assert opening == ["cli.py"]
 
 
 def test_a_median_beyond_its_bound_is_flagged(bench, capsys):

@@ -942,21 +942,35 @@ def blas_threads_in_child(script: str, **env) -> list[int]:
     reason="numpy bundles no OpenBLAS, or OpenBLAS would take one thread anyway",
 )
 class TestEntrypoint:
-    """The ``diffnet`` command runs OpenBLAS on one thread, so that its
-    threads leave the second CPU to the split forward kernels."""
+    """The ``diffnet`` command runs OpenBLAS on one thread on up to 2 usable
+    CPUs, so that its threads leave the second CPU to the split forward
+    kernels.  The child sees ``cpus`` usable CPUs and prints the thread
+    count before ``entrypoint`` and inside ``main``."""
 
-    STUB = (
-        "from diffnet import cli\n"
-        "cli.main = lambda: print(cli._openblas('get_num_threads')()) or 0\n"
-        "cli.entrypoint()\n"
-    )
+    @staticmethod
+    def stub(cpus: int = 2) -> str:
+        return (
+            "import os\n"
+            f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+            "from diffnet import cli\n"
+            "get = cli._openblas('get_num_threads')\n"
+            "print(get())\n"
+            "cli.main = lambda: print(get()) or 0\n"
+            "cli.entrypoint()\n"
+        )
 
     def test_sets_one_thread(self):
-        assert blas_threads_in_child(self.STUB) == [1]
+        before, inside = blas_threads_in_child(self.stub())
+        assert before > 1 and inside == 1
 
     @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     def test_keeps_the_users_thread_count(self, var):
-        assert blas_threads_in_child(self.STUB, **{var: "2"}) == [2]
+        assert blas_threads_in_child(self.stub(), **{var: "2"}) == [2, 2]
+
+    def test_leaves_hosts_of_more_than_two_cpus_at_the_default(self):
+        """One thread was measured only on 2 CPUs."""
+        before, inside = blas_threads_in_child(self.stub(cpus=3))
+        assert before > 1 and inside == before
 
     def test_import_leaves_the_thread_count(self):
         """Read before the import without diffnet's own lookup."""
