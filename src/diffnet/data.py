@@ -201,7 +201,9 @@ def write_atomic(path, chunks) -> None:
     so no reader sees a partial file; ``path``'s directory is made if missing.
     A chunk is ``bytes`` or a C-contiguous array, written through its buffer.
     A failed write or rename removes the temp file; a name clash removes none."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):  # one stat; makedirs on a folder that exists raises inside
+        os.makedirs(folder, exist_ok=True)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     f = open(tmp, "xb")
     try:

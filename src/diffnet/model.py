@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
+    _grad_enabled,
     batchnorm2d,
     concat_channels,
     conv2d,
@@ -109,17 +110,19 @@ class SiameseUNet:
     # -- forward passes ------------------------------------------------------
 
     def _block(self, x: Tensor, stem: str, mode: str) -> Tensor:
+        """conv -> batch norm -> ReLU.  An eval forward that records no graph
+        runs the three in one pass over the map, inside ``conv2d``."""
         p = self.params
-        x = conv2d(x, p[f"{stem}.conv.weight"], p[f"{stem}.conv.bias"])
-        x = batchnorm2d(
-            x,
+        weight, bias = p[f"{stem}.conv.weight"], p[f"{stem}.conv.bias"]
+        bn = (
             p[f"{stem}.bn.gamma"],
             p[f"{stem}.bn.beta"],
             self.buffers[f"{stem}.bn.running_mean"],
             self.buffers[f"{stem}.bn.running_var"],
-            mode,
         )
-        return relu(x)
+        if mode == "eval" and not _grad_enabled.get():
+            return conv2d(x, weight, bias, eval_bn_relu=bn)
+        return relu(batchnorm2d(conv2d(x, weight, bias), *bn, mode))
 
     def encode(self, image: Tensor, mode: str = "eval") -> list[Tensor]:
         """Run one temporal branch; returns the five post-pool features at
@@ -161,14 +164,16 @@ class SiameseUNet:
         logits; ``losses.weighted_bce`` clamps before taking logs."""
         deltas = self.difference_pyramid(pre, post, mode)
         p = self.params
-        x = deltas[LEVELS - 1]
+        # each map is dropped as soon as it is consumed, so that an eval
+        # forward holds no difference or full-size upsample past its use
+        x = deltas.pop()
         for l in range(LEVELS - 1, 0, -1):
             x = upconv2x2(x, p[f"dec{l}.up.weight"], p[f"dec{l}.up.bias"])
-            x = concat_channels(x, deltas[l - 1])
+            x = concat_channels(x, deltas.pop())
             x = self._block(x, f"dec{l}", mode)
         x = upconv2x2(x, p["final_up.weight"], p["final_up.bias"])
-        logits = conv2d(x, p["head.weight"], p["head.bias"])
-        return sigmoid(logits)
+        x = conv2d(x, p["head.weight"], p["head.bias"])
+        return sigmoid(x)
 
 
 def init_model(config: ModelConfig, seed: int) -> SiameseUNet:

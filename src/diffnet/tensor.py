@@ -31,34 +31,52 @@ the arrays its op saved, as soon as the ops that consume it have run back,
 unless the caller still holds its tensor; so the backward's peak stays
 close to the forward's.  A graph can be walked back only once.
 
-``conv2d`` is a shifted-tap GEMM over one zero-padded flat copy of the
-input (each kernel tap is a matmul against a contiguous slice of it), run
-over blocks of whole output rows, about ``_BLOCK`` positions each, so that
-each block's working set stays in cache; each block is cropped into the
-result as soon as its taps are summed.  Its input gradient runs on the
-same blocked loop over the zero-padded output gradient, with the
-transposed taps at mirrored offsets.  ``batchnorm2d`` builds its output in
-place and keeps no normalized copy (its backward recomputes x-hat from the
-saved input), and ``maxpool2x2`` pools the column pairs of every row
-before it pools pairs of those half-width rows; its backward selects the
-gradient with a bit mask instead of ``np.where``.
+``conv2d`` is a shifted-tap GEMM over the zero-padded input, flattened
+per plane (each kernel tap is a matmul against a contiguous slice of it),
+run over blocks of whole output rows, about ``_BLOCK`` positions each, so
+that each block's working set stays in cache.  The forward pads each
+block's rows and their halo into a block-sized buffer, so no padded copy
+of the map exists; each block is cropped into the result as soon as its
+taps are summed.  Its input gradient runs on the same blocked loop over
+the zero-padded output gradient, with the transposed taps at mirrored
+offsets.  ``batchnorm2d`` builds its output in place and keeps no
+normalized copy (its backward recomputes x-hat from the saved input), and
+``maxpool2x2`` pools the column pairs of every row before it pools pairs
+of those half-width rows; its backward selects the gradient with a bit
+mask instead of ``np.where``.  ``upconv2x2`` is one GEMM per block of
+input rows, whose 2x2 blocks are interleaved into the doubled grid.
 A ``bw`` hands a gradient it has just allocated to ``_accum`` as owned,
 so the first contribution to a node is not copied.
+
+The eval epilogue: while no graph is recorded, ``conv2d`` can finish each
+cropped block with the eval batch norm (``_bn_tail``, as ``batchnorm2d``
+runs it) and ``max(., 0)`` in place, while the block is in cache, so
+conv -> batch norm -> ReLU passes over the map once.  ``SiameseUNet``
+asks for it in an eval forward under ``no_grad``, which is every
+``predict()``; training and an eval forward that records a graph keep
+the three ops, with their backwards.
 
 A map of at least ``2 * _BLOCK`` positions per H x W plane (128 x 128 and
 up; the one rule is ``_mid_row``) splits its rows in two, and ``_halves``
 runs the second range on one kept worker thread while the caller runs
-the first, where the process may use two CPUs.  Four forward kernels
-split so: ``conv2d``, its forward and input gradient, at the middle block
-boundary; the elementwise tail of ``batchnorm2d``, whose statistics stay
-on the caller, and ``relu``, at the middle row; and ``maxpool2x2`` at the
-even row at or below the middle.  The bits cannot move: each output
+the first, where the process may use two CPUs.  Five forward kernels
+split so: ``conv2d`` (with the epilogue, and its input gradient) at the
+middle block boundary; the elementwise tail of ``batchnorm2d``, whose
+statistics stay on the caller, ``relu`` and ``upconv2x2`` at the middle
+row; and ``maxpool2x2`` at the even row at or below it.  ``upconv2x2``
+and ``maxpool2x2`` run each range in blocks of about ``_BLOCK`` output
+and input positions respectively.  The bits cannot move: each output
 element gets the same numpy calls on the same operands on either thread,
-no reduction is split, the blocks are cut the same way with one CPU or
-two, and the worker only fills arrays the caller allocated.  Each kernel
-writes its work once, as a body over a range of rows; a smaller map calls
-that body once on the whole map, without the worker, the preallocated
-outputs or ``_halves``, whose per-call cost showed on 64 x 64 tiles.
+no reduction is split, and ``conv2d``'s blocks are cut the same way with
+one CPU or two.  (Each ``upconv2x2`` input pixel is one GEMM column,
+which BLAS sums in the same order at any block width; the whole-map
+tests and the parity digests check it.)  The worker allocates nothing:
+the caller allocates every output and one set of block buffers per
+range, since an array made on the worker comes from a second glibc arena
+and raises peak RSS.  Each kernel writes its work once, as a body over a
+range of rows; a smaller map calls that body once on the whole map,
+without the worker, the preallocated outputs or ``_halves``, whose
+per-call cost showed on 64 x 64 tiles.
 
 Working precision is float32; every kernel is dtype-generic, so the same
 ops run in float64 for numeric gradient checking.  Image tensors use the
@@ -522,9 +540,32 @@ def _require_4d(x: Tensor, op: str) -> None:
         raise ShapeError(f"{op} expects an N x C x H x W tensor, got shape {x.shape}")
 
 
+def _pad_rows(x: np.ndarray, k: int, r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
+    """Rows r0 - p .. r1 + p - 1 of ``_pad_flat(x, k)``, with its k-1 spare
+    zeros, written into the front of the 1-D ``buf``: rows outside the map
+    and the pad columns are zeroed, the rest copied, and nothing is
+    allocated."""
+    n, c, h, w = x.shape
+    p = (k - 1) // 2
+    wp, rows = w + 2 * p, r1 - r0 + 2 * p
+    flat = buf[: n * c * (rows * wp + k - 1)].reshape(n, c, rows * wp + k - 1)
+    grid = flat[:, :, : rows * wp].reshape(n, c, rows, wp)
+    lo, hi = max(r0 - p, 0), min(r1 + p, h)
+    top, bottom = lo - (r0 - p), hi - (r0 - p)
+    grid[:, :, :top] = 0
+    grid[:, :, bottom:] = 0
+    grid[:, :, top:bottom, :p] = 0
+    grid[:, :, top:bottom, p + w :] = 0
+    grid[:, :, top:bottom, p : p + w] = x[:, :, lo:hi]
+    flat[:, :, rows * wp :] = 0
+    return flat
+
+
 def _pad_flat(x: np.ndarray, k: int) -> np.ndarray:
     """Zero-pad (N,C,H,W) by (k-1)/2 and flatten each padded plane, plus
-    k-1 spare zeros so that the last tap's slice stays in bounds."""
+    k-1 spare zeros so that the last tap's slice stays in bounds; a view
+    for k = 1.  On a whole map at train shapes ``np.zeros`` and one copy
+    ran faster than ``_pad_rows``'s border writes."""
     n, c, h, w = x.shape
     if k == 1:
         return x.reshape(n, c, h * w)
@@ -535,57 +576,76 @@ def _pad_flat(x: np.ndarray, k: int) -> np.ndarray:
     return flat
 
 
-def _shifted_taps(pairs: list, flat: np.ndarray, h: int, w: int, wp: int, bias=None) -> np.ndarray:
+def _shifted_taps(pairs: list, x: np.ndarray, k: int, bias=None, bn=None, flat=None) -> np.ndarray:
     """Sum ``tap @ flat[:, :, off : off + h * wp]`` over the (tap, off)
-    pairs, read as H rows of Wp columns, and return each row's first W
-    columns, plus ``bias`` per output channel when given, as a new
-    (N, rows, H, W) array.
+    pairs, where ``flat`` is the (N, C, H, W) map ``x`` padded for a k x k
+    kernel by ``_pad_flat``, read as H rows of Wp = W + k - 1 columns, and
+    return each row's first W columns, plus ``bias`` per output channel when
+    given, as a new (N, rows, H, W) array.  With ``bn``, the per-channel
+    ``(mean, inv, gamma, beta)`` of an eval batch norm, each cropped block
+    then goes through ``_bn_tail`` and ``max(., 0)`` in place: bit for bit
+    ``relu(batchnorm2d(.))`` of the biased sum, without another pass over
+    the map.
 
     The H rows split into near-equal blocks of whole rows, of about
     ``_BLOCK`` to ``2 * _BLOCK`` positions (one block when there are fewer).
-    Every pair is summed into a block, in the order given, before the next
-    block starts, so the sum does not depend on the blocking.  Each block's
-    first W columns are then copied into the result and the bias is added
-    to them in place, which is bitwise ``sum[..., :w] + bias``; the Wp-wide
-    sum never exists at full size.
+    With two blocks or more, each block pads its own rows and their halo
+    into a block-sized buffer (``_pad_rows``), so the padded map never
+    exists at full size; one block reads ``_pad_flat(x, k)``, as does a
+    1 x 1 kernel (a view of ``x``) and the caller that passes the whole
+    padded copy as ``flat`` because it needs one anyway.  Every pair is
+    summed into a block, in the order given, before the next block starts,
+    so the sum does not depend on the blocking.  Each block's first W
+    columns are then copied into the result and the bias added to them in
+    place, which is bitwise ``sum[..., :w] + bias``; the Wp-wide sum never
+    exists at full size.
 
     On an H x W plane that ``_mid_row`` splits (which has two blocks or
     more), the blocks split at the middle block boundary into two row
-    ranges, each with its own pair of block buffers, and the second range
-    runs on ``_halves``'s worker thread.  A block is summed and cropped the
-    same way on either thread, so the bits do not move.
+    ranges, each with its own block buffers, and the second range runs on
+    ``_halves``'s worker thread.  A block is padded, summed, cropped and
+    normalized the same way on either thread, so the bits do not move.
     """
     (tap0, off0), rest = pairs[0], pairs[1:]
-    n, rows = flat.shape[0], tap0.shape[0]
+    n, c, h, w = x.shape
+    rows, wp = tap0.shape[0], w + k - 1
     nb = max(1, min(h, h * wp // _BLOCK))
+    if flat is None and (nb == 1 or k == 1):
+        flat = _pad_flat(x, k)  # the whole map is one block, or needs no padding
     bounds = [h * b // nb for b in range(nb + 1)]
-    dtype = np.result_type(tap0, flat)
+    dtype = np.result_type(tap0, x)
     shape = (n, rows, h, w)
     out_dtype = dtype if bias is None else np.result_type(dtype, bias)
     mid = _mid_row(h, w) and nb // 2  # the split block, 0 for none
-    size = n * rows * -(-h // nb) * wp
-    # the sum and tap-product block buffers, one pair per row range
-    bufs = [(np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
+    tall = -(-h // nb)  # rows of the largest block
+    size = n * rows * tall * wp
+    pad_size = n * c * ((tall + k - 1) * wp + k - 1)
+    # the sum, tap-product and padded-input block buffers, one set per row range
+    bufs = [(np.empty(size, dtype=dtype), np.empty(size, dtype=dtype),
+             None if flat is not None else np.empty(pad_size, dtype=x.dtype))
             for _ in range(2 if mid else 1)]
     out = np.empty(shape, dtype=out_dtype) if nb > 1 else None
 
     def run(b0, b1):  # blocks b0 .. b1 - 1
-        nonlocal out
-        acc, tmp = bufs.pop()
+        nonlocal out, flat
+        acc, tmp, pad = bufs.pop()
         for r0, r1 in zip(bounds[b0:b1], bounds[b0 + 1 : b1 + 1]):
             c0, c1 = r0 * wp, r1 * wp
+            src = flat[:, :, c0:] if pad is None else _pad_rows(x, k, r0, r1, pad)
             blk = acc[: n * rows * (c1 - c0)].reshape(n, rows, c1 - c0)
-            np.matmul(tap0, flat[:, :, off0 + c0 : off0 + c1], out=blk)
+            np.matmul(tap0, src[:, :, off0 : off0 + c1 - c0], out=blk)
             t = tmp[: blk.size].reshape(blk.shape)
             for tap, off in rest:
-                blk += np.matmul(tap, flat[:, :, off + c0 : off + c1], out=t)
-            if out is None:  # one block: free the tap scratch before the result
-                tmp = t = None
+                blk += np.matmul(tap, src[:, :, off : off + c1 - c0], out=t)
+            if out is None:  # one block: free the scratch before the result
+                tmp = t = src = flat = None
                 out = np.empty(shape, dtype=out_dtype)
             dst = out[:, :, r0:r1]
             dst[...] = blk.reshape(n, rows, r1 - r0, wp)[..., :w]
             if bias is not None:
                 dst += bias[None, :, None, None]
+            if bn is not None:
+                np.maximum(_bn_tail(dst, dst, *bn), 0, out=dst)
 
     if mid:
         _halves(run, nb, mid)
@@ -594,29 +654,39 @@ def _shifted_taps(pairs: list, flat: np.ndarray, h: int, w: int, wp: int, bias=N
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, eval_bn_relu=None) -> Tensor:
     """2-D convolution (cross-correlation), stride 1, same-size output.
 
     ``weight`` is (C_out, C_in, k, k) with a square odd kernel, and the input
     is zero-padded by p = (k - 1) // 2 on each side: 1 for the 3x3 block
     kernels, 0 for the 1x1 prediction head.
 
-    Shifted-tap GEMM: the input is padded once into flat planes of width
-    Wp = W + 2p.  Tap (i, j) of every output row is then the contiguous
-    slice at offset i*Wp + j, so each tap is one matmul of W[:, :, i, j]
-    against a view, with no im2col copy.  Rows are computed Wp wide, one
-    block of whole rows at a time, and the taps are summed in the order
+    Shifted-tap GEMM: the input, zero-padded, is read as flat planes of
+    width Wp = W + 2p.  Tap (i, j) of every output row is then the
+    contiguous slice at offset i*Wp + j, so each tap is one matmul of
+    W[:, :, i, j] against a view, with no im2col copy.  Rows are computed
+    Wp wide, one block of whole rows at a time, each block padding its own
+    input rows and halo first, and the taps are summed in the order
     (0, 0) ... (k-1, k-1); each finished block is cropped of its Wp - W
     junk columns into the output, and the bias added there
     (``_shifted_taps``).
 
     The input gradient is the correlation of the output gradient with the
     transposed, mirrored kernel, so it runs on the same loop: the output
-    gradient is padded the same way, and tap (i, j) contributes
+    gradient is padded the same way, once, as the weight gradient reads it
+    too, and tap (i, j) contributes
     W[:, :, i, j].T at offset (k-1-i)*Wp + (k-1-j), still in the order
     (0, 0) ... (k-1, k-1).  The weight gradient reads the padded output
     gradient as Wp-wide rows whose junk columns are the zero padding,
     against the input padded again: the forward's padded copy is not kept.
+
+    ``eval_bn_relu``, a tuple ``(gamma, beta, running_mean, running_var)``,
+    fuses the eval-mode ``batchnorm2d`` over those and a ``relu`` into the
+    block loop: the result is bit for bit
+    ``relu(batchnorm2d(conv2d(x, weight, bias), gamma, beta, running_mean,
+    running_var, "eval"))``, with no backward.  It is accepted only while no
+    graph is recorded (under ``no_grad``); otherwise it raises
+    ``ContractError``.
     """
     _require_4d(x, "conv2d")
     if weight.data.ndim != 4:
@@ -639,10 +709,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     span = h * wp
     order = [(i, j) for i in range(kh) for j in range(kw)]
     xd, wd = x.data, weight.data
-    flat = _pad_flat(xd, kh)
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # (k, k, O, C)
     pairs = [(taps[i, j], i * wp + j) for i, j in order]
-    out_data = _shifted_taps(pairs, flat, h, w, wp, bias.data)
+    if eval_bn_relu is not None:
+        if _grad_enabled.get():
+            raise ContractError("conv2d's eval batch norm and ReLU run only under no_grad")
+        gamma, beta, running_mean, running_var = eval_bn_relu
+        _require_bn_shapes(gamma, beta, cout)
+        dtype = np.result_type(xd, wd, bias.data)  # the convolution's output
+        mean, var = running_mean.astype(dtype), running_var.astype(dtype)
+        bn = _bn_affine(mean, var, gamma.data, beta.data)
+        return Tensor(_shifted_taps(pairs, xd, kh, bias.data, bn))
+    out_data = _shifted_taps(pairs, xd, kh, bias.data)
 
     def bw(g, nx, nw, nb):
         _accum(nb, g.sum(axis=(0, 2, 3)), owned=True)
@@ -667,9 +745,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             k = kh - 1
             taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
             pairs = [(taps[i, j].T, (k - i) * wp + (k - j)) for i, j in order]
-            _accum(nx, _shifted_taps(pairs, gflat, h, w, wp), owned=True)
+            _accum(nx, _shifted_taps(pairs, g, kh, flat=gflat), owned=True)
 
     return _make(out_data, (x, weight, bias), bw)
+
+
+def _require_bn_shapes(gamma: Tensor, beta: Tensor, c: int) -> None:
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ShapeError(
+            f"batchnorm2d gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels"
+        )
+
+
+def _bn_affine(mean, var, gamma, beta) -> tuple:
+    """The per-channel ``(mean, 1 / sqrt(var + eps), gamma, beta)`` that
+    ``_bn_tail`` applies, each shaped (1, C, 1, 1)."""
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
+    return tuple(v[None, :, None, None] for v in (mean, inv, gamma, beta))
+
+
+def _bn_tail(rows, out, mean, inv, gamma, beta):
+    """``(rows - mean) * inv * gamma + beta``, in that order, into ``out``
+    (a new array when None; ``rows`` itself for in place): batch norm's
+    elementwise part, shared by ``batchnorm2d`` and ``conv2d``'s fused eval
+    epilogue so that the two give the same bits."""
+    out = np.subtract(rows, mean, out=out)
+    out *= inv
+    out *= gamma
+    out += beta
+    return out
 
 
 def batchnorm2d(
@@ -690,11 +794,7 @@ def batchnorm2d(
     if mode not in ("train", "eval"):
         raise ConfigError(f"batchnorm2d mode must be 'train' or 'eval', got {mode!r}")
     c = x.data.shape[1]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ShapeError(
-            f"batchnorm2d gamma/beta shapes {gamma.shape}/{beta.shape} "
-            f"do not match {c} channels"
-        )
+    _require_bn_shapes(gamma, beta, c)
 
     if mode == "eval":
         mean = running_mean.astype(x.dtype)
@@ -711,23 +811,16 @@ def batchnorm2d(
         running_var *= 1.0 - _BN_MOMENTUM
         running_var += _BN_MOMENTUM * var.astype(running_var.dtype)
 
-    inv = 1.0 / np.sqrt(var + _BN_EPS)
-    mean4, inv4 = mean[None, :, None, None], inv[None, :, None, None]
-    xd, gd = x.data, gamma.data
-
-    def tail(rows, out):  # into out, or a new array when out is None
-        out = np.subtract(rows, mean4, out=out)
-        out *= inv4
-        out *= gd[None, :, None, None]
-        out += beta.data[None, :, None, None]
-        return out
-
+    affine = _bn_affine(mean, var, gamma.data, beta.data)
+    mean4, inv4, gamma4 = affine[:3]
+    xd = x.data
     mid = _mid_row(*xd.shape[2:])
     if mid:
         out_data = np.empty_like(xd) if buf is None else buf
-        _halves(lambda r0, r1: tail(xd[:, :, r0:r1], out_data[:, :, r0:r1]), xd.shape[2], mid)
+        _halves(lambda r0, r1: _bn_tail(xd[:, :, r0:r1], out_data[:, :, r0:r1], *affine),
+                xd.shape[2], mid)
     else:
-        out_data = tail(xd, buf)
+        out_data = _bn_tail(xd, buf, *affine)
 
     def bw(g, nx, ngamma, nbeta):
         xhat = xd - mean4
@@ -737,7 +830,7 @@ def batchnorm2d(
         _accum(ngamma, gxsum.reshape(c), owned=True)
         _accum(nbeta, gsum.reshape(c), owned=True)
         if nx is not None:
-            scale = (gd * inv)[None, :, None, None]
+            scale = gamma4 * inv4
             if mode == "eval":
                 _accum(nx, g * scale, owned=True)
             else:
@@ -758,9 +851,10 @@ def maxpool2x2(x: Tensor) -> Tensor:
     scan order within each window.
 
     The forward first takes the maximum of each row's column pairs, over
-    every row, then the maximum of those half-width rows in pairs, which
-    reads whole rows: bit for bit ``max(max(x00, x01), max(x10, x11))``
-    over the four window positions ``x[:, :, a::2, b::2]``, down to the
+    every row (of a block, on a map that splits), then the maximum of those
+    half-width rows in pairs, which reads whole rows: bit for bit
+    ``max(max(x00, x01), max(x10, x11))`` over the four window positions
+    ``x[:, :, a::2, b::2]``, down to the
     sign of a zero and the payload of a NaN.  (Pooling row pairs first
     would pick the other zero when only x01 and x10 tie at the maximum.)
     A NaN in a window makes the output NaN, and the gradient then goes to
@@ -782,10 +876,20 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
     mid = _mid_row(h, w, step=2)
     if mid:
-        cols = np.empty((n, c, h, w // 2), dtype=d.dtype)
         out_data = np.empty((n, c, h // 2, w // 2), dtype=d.dtype)
-        _halves(lambda r0, r1: pool(d[:, :, r0:r1], cols[:, :, r0:r1],
-                                    out_data[:, :, r0 // 2 : r1 // 2]), h, mid)
+        # even rows per block, about 4 * _BLOCK positions: smaller blocks
+        # ran slower than one pass per range (more ufunc calls)
+        step = max(2, 4 * _BLOCK // w // 2 * 2)
+        # one block of column maxima per row range
+        bufs = [np.empty((n, c, step, w // 2), dtype=d.dtype) for _ in range(2)]
+
+        def run(r0, r1):
+            cols = bufs.pop()
+            for b0 in range(r0, r1, step):
+                b1 = min(b0 + step, r1)
+                pool(d[:, :, b0:b1], cols[:, :, : b1 - b0], out_data[:, :, b0 // 2 : b1 // 2])
+
+        _halves(run, h, mid)
     else:
         out_data = pool(d)
 
@@ -812,7 +916,11 @@ def upconv2x2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Transposed convolution with a 2x2 kernel at stride 2 (exact doubling).
 
     ``weight`` is (C_in, C_out, 2, 2).  Stride equals kernel size, so each
-    input pixel paints a disjoint 2x2 output block.
+    input pixel paints a disjoint 2x2 output block: one matmul over
+    (C_out*2*2, C_in) x (C_in, rows*W) per block of input rows, plus the
+    bias, then interleaved into the doubled grid.  On a map that splits,
+    the blocks run through one block-sized product buffer per row range,
+    so the product never exists at full size.
     """
     _require_4d(x, "upconv2x2")
     n, cin, h, w = x.data.shape
@@ -828,16 +936,33 @@ def upconv2x2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"upconv2x2 bias shape {bias.shape} does not match {cout} output channels"
         )
-    # one matmul over (C_out*2*2, C_in) x (C_in, H*W), then interleave the
-    # 2x2 blocks into the doubled grid
     w4 = weight.data.reshape(cin, cout * 4)
     x3 = x.data.reshape(n, cin, h * w)
-    blocks = np.matmul(w4.T, x3).reshape(n, cout, 2, 2, h, w)
-    blocks += bias.data[None, :, None, None, None, None]
-    grid = np.empty((n, cout, h, 2, w, 2), dtype=blocks.dtype)
-    for a in (0, 1):
-        for b in (0, 1):
-            grid[:, :, :, a, :, b] = blocks[:, :, a, b]
+    grid = np.empty((n, cout, h, 2, w, 2), dtype=np.result_type(w4, x3))
+
+    def paint(r0, r1, out=None):  # input rows r0 .. r1 - 1; out: their block buffer
+        blocks = np.matmul(w4.T, x3[:, :, r0 * w : r1 * w], out=out)
+        blocks = blocks.reshape(n, cout, 2, 2, r1 - r0, w)
+        blocks += bias.data[None, :, None, None, None, None]
+        for a in (0, 1):
+            for b in (0, 1):
+                grid[:, :, r0:r1, a, :, b] = blocks[:, :, a, b]
+
+    mid = _mid_row(h, w)
+    if mid:
+        step = max(1, _BLOCK // (4 * w))  # input rows per block: _BLOCK output positions
+        bufs = [np.empty(n * cout * 4 * step * w, dtype=grid.dtype) for _ in range(2)]
+
+        def run(r0, r1):
+            buf = bufs.pop()
+            for b0 in range(r0, r1, step):
+                b1 = min(b0 + step, r1)
+                size = n * cout * 4 * (b1 - b0) * w
+                paint(b0, b1, buf[:size].reshape(n, cout * 4, (b1 - b0) * w))
+
+        _halves(run, h, mid)
+    else:
+        paint(0, h)
     out_data = grid.reshape(n, cout, 2 * h, 2 * w)
 
     def bw(g, nx, nw, nb):

@@ -172,6 +172,17 @@ def test_failed_write_removes_its_temp_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "t.btm"]
 
 
+def test_write_makes_a_directory_only_when_it_is_missing(tmp_path, monkeypatch):
+    made = []
+    makedirs = os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda *a, **k: made.append(a[0]) or makedirs(*a, **k))
+    data.write_atomic(tmp_path / "t.btm", [b"new"])
+    assert made == []
+    data.write_atomic(tmp_path / "a" / "b" / "t.btm", [b"new"])
+    assert made[0] == str(tmp_path / "a" / "b")  # then its own call for "a"
+    assert (tmp_path / "a" / "b" / "t.btm").read_bytes() == b"new"
+
+
 def test_write_leaves_a_file_at_target_tmp_alone(tmp_path):
     target, other = tmp_path / "t.btm", tmp_path / "t.btm.tmp"
     other.write_bytes(b"keep")

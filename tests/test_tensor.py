@@ -760,6 +760,13 @@ def batchnorm2d_run(x, gamma, beta, mode):
     return out.data, rmean, rvar
 
 
+def bn_args(rng, c, dtype):
+    """Eval batch-norm arguments with non-trivial running statistics, kept
+    in float32 as the model keeps them."""
+    gamma, beta = Tensor(randn(rng, c, dtype=dtype)), Tensor(randn(rng, c, dtype=dtype))
+    return gamma, beta, randn(rng, c), np.abs(randn(rng, c)) + 0.5
+
+
 class TestTwoRowRanges:
     """Each split kernel gives the same bits with two usable CPUs, its
     second row range on the worker thread, as with one, both ranges here,
@@ -793,6 +800,16 @@ class TestTwoRowRanges:
     def test_maxpool2x2(self, rng, monkeypatch):
         x = Tensor(split_map(rng))
         self.same_bits(monkeypatch, lambda: [maxpool2x2(x).data])
+
+    def test_upconv2x2(self, rng, monkeypatch):
+        x, wt, b = Tensor(split_map(rng)), Tensor(randn(rng, 8, 5, 2, 2)), Tensor(randn(rng, 5))
+        self.same_bits(monkeypatch, lambda: [upconv2x2(x, wt, b).data])
+
+    def test_fused_eval_conv2d(self, rng, monkeypatch):
+        x, wt, b = Tensor(split_map(rng)), Tensor(randn(rng, 6, 8, 3, 3)), Tensor(randn(rng, 6))
+        bn = bn_args(rng, 6, np.float32)
+        with no_grad():
+            self.same_bits(monkeypatch, lambda: [conv2d(x, wt, b, eval_bn_relu=bn).data])
 
 
 # Python 3.12 and later warn when a process with threads forks
@@ -1032,6 +1049,34 @@ def test_batchnorm2d_forward_holds_about_one_output(rng, mode):
     assert peak <= out.data.nbytes + SLACK
 
 
+def test_split_kernels_allocate_nothing_on_the_worker(rng, monkeypatch):
+    """The second row range of every split kernel, run here under
+    tracemalloc, fills only the arrays and block buffers its caller
+    allocated: an array made on the worker thread would come from a second
+    glibc arena and raise peak RSS.  numpy's ufunc scratch buffer (8192
+    elements per operand, which maxpool2x2's row-pair pass uses) is shrunk
+    for the range, in its context only, so that it does not hide a block."""
+    peaks = []
+
+    def halves(fn, end, mid):
+        fn(0, mid)
+        with np.errstate():
+            np.setbufsize(16)
+            peaks.append(traced_peak(lambda: fn(mid, end))[1])
+
+    monkeypatch.setattr(tensor_module, "_halves", halves)
+    x, wt, b = split_map(rng), randn(rng, 6, 8, 3, 3), randn(rng, 6)
+    t, bn = Tensor(x), bn_args(rng, 8, np.float32)
+    conv2d_run(x, wt, b, randn(rng, 1, 6, 130, 128))  # forward and input gradient
+    with no_grad():
+        conv2d(t, Tensor(wt), Tensor(b), eval_bn_relu=bn_args(rng, 6, np.float32))
+        relu(batchnorm2d(t, *bn, "eval"))
+        maxpool2x2(t)
+        upconv2x2(t, Tensor(randn(rng, 8, 5, 2, 2)), Tensor(randn(rng, 5)))
+    assert len(peaks) == 7
+    assert max(peaks) <= 16 * 1024, peaks
+
+
 def test_pin_malloc_does_nothing_without_libc_or_mallopt(monkeypatch):
     def no_libc(name):
         raise OSError(f"{name}: cannot open shared object file")
@@ -1040,3 +1085,112 @@ def test_pin_malloc_does_nothing_without_libc_or_mallopt(monkeypatch):
     assert _pin_malloc() is None
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
     assert _pin_malloc() is None
+
+
+# -- the eval epilogue and the blocked kernels, bit for bit ----------------------
+
+
+@pytest.mark.parametrize(
+    "n, cin, cout, h, w, k, dtype",
+    [
+        (1, 8, 6, 130, 128, 3, np.float32),  # splits, at an odd row
+        (1, 8, 6, 64, 64, 3, np.float32),  # one block, no split
+        (1, 4, 5, 131, 128, 3, np.float32),  # odd height, splits
+        (2, 3, 4, 127, 128, 3, np.float32),  # N = 2, odd height, two blocks, no split
+        (1, 8, 1, 128, 128, 1, np.float32),  # the 1 x 1 head's kernel, splits
+        (2, 4, 3, 130, 128, 3, np.float64),  # the gradient checker's dtype
+    ],
+)
+def test_fused_eval_conv2d_is_relu_of_eval_batchnorm(rng, n, cin, cout, h, w, k, dtype):
+    x, wt, b = (Tensor(randn(rng, *s, dtype=dtype)) for s in ((n, cin, h, w), (cout, cin, k, k), (cout,)))
+    bn = bn_args(rng, cout, dtype)
+    with no_grad():
+        want = relu(batchnorm2d(conv2d(x, wt, b), *bn, "eval")).data
+        got = conv2d(x, wt, b, eval_bn_relu=bn)
+    assert got.data.dtype == want.dtype == dtype
+    assert np.array_equal(got.data, want)
+    assert not got.requires_grad
+
+
+@pytest.mark.parametrize(
+    "n, c, h, w, dtype",
+    [
+        (1, 8, 130, 128, np.float32),  # splits
+        (1, 8, 64, 64, np.float32),  # no split
+        (1, 4, 131, 128, np.float32),  # odd height (upconv2x2 only)
+        (2, 3, 128, 130, np.float32),
+        (2, 4, 130, 128, np.float64),
+    ],
+)
+def test_upconv2x2_and_maxpool2x2_match_their_whole_map_results(rng, monkeypatch, n, c, h, w, dtype):
+    """Each row range in blocks with the caller's block buffers gives the
+    bits of the kernel's body run once on the whole map."""
+    x = Tensor(randn(rng, n, c, h, w, dtype=dtype))
+    wt, b = Tensor(randn(rng, c, 5, 2, 2, dtype=dtype)), Tensor(randn(rng, 5, dtype=dtype))
+
+    def run():
+        with no_grad():
+            return upconv2x2(x, wt, b).data, None if h % 2 else maxpool2x2(x).data
+
+    blocked = run()
+    monkeypatch.setattr(tensor_module, "_mid_row", lambda h, w, step=1: 0)
+    for got, whole in zip(blocked, run(), strict=True):
+        assert got is None and whole is None or np.array_equal(got, whole)
+
+
+def test_pad_rows_is_a_window_of_the_whole_padded_map(rng):
+    """Every row window, at the edges and inside, holds the rows of
+    ``np.pad``'s zero-padded map, with k - 1 spare zeros; the buffer's
+    stale contents do not show."""
+    x = randn(rng, 2, 3, 7, 5)
+    for k in (3, 5):
+        p = (k - 1) // 2
+        whole = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        wp = 5 + 2 * p
+        for r0, r1 in itertools.combinations(range(8), 2):
+            buf = np.full(2 * 3 * ((r1 - r0 + k - 1) * wp + k - 1), np.nan, np.float32)
+            flat = tensor_module._pad_rows(x, k, r0, r1, buf)
+            want = whole[:, :, r0 : r1 + 2 * p].reshape(2, 3, -1)
+            assert np.array_equal(flat[:, :, : want.shape[2]], want)
+            assert not flat[:, :, want.shape[2] :].any()
+
+
+def test_fused_epilogue_refuses_a_recorded_graph(rng):
+    x, wt, b = Tensor(randn(rng, 1, 2, 8, 8)), Tensor(randn(rng, 3, 2, 3, 3)), Tensor(randn(rng, 3))
+    with pytest.raises(ContractError, match="no_grad"):
+        conv2d(x, wt, b, eval_bn_relu=bn_args(rng, 3, np.float32))
+    with no_grad(), pytest.raises(ShapeError, match="gamma/beta"):
+        conv2d(x, wt, b, eval_bn_relu=bn_args(rng, 4, np.float32))
+
+
+def test_predict_reaches_no_batchnorm2d_or_relu_but_training_does(monkeypatch, small_model, small_scene):
+    """``predict()`` runs every block as one fused ``conv2d``; ``train()``
+    and an eval forward that records a graph keep conv2d -> batchnorm2d ->
+    relu, which criterion 1 gradchecks."""
+    from diffnet import model as model_module
+    from diffnet.train import TrainConfig, predict, train
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached")
+
+    for name in ("batchnorm2d", "relu"):
+        monkeypatch.setattr(model_module, name, refuse)
+    predict(small_model, small_scene)
+    pre, post = (Tensor(getattr(small_scene, k)[None]) for k in ("pre", "post"))
+    with pytest.raises(AssertionError, match="reached"):
+        small_model.forward(pre, post, mode="eval")
+    with pytest.raises(AssertionError, match="reached"):
+        train(small_model, [small_scene], TrainConfig(steps=1, batch_size=1))
+
+
+def test_fused_eval_forward_matches_the_recorded_one(small_model, rng):
+    """A whole eval forward gives the same bits fused, under no_grad, as
+    through batchnorm2d and relu while it records, on a map that splits."""
+    for name, buf in small_model.buffers.items():
+        buf[...] = np.abs(randn(rng, *buf.shape)) + 0.5 if name.endswith("var") else randn(rng, *buf.shape)
+    pre, post = (Tensor(randn(rng, 1, 3, 128, 128)) for _ in range(2))
+    with no_grad():
+        fused = small_model.forward(pre, post, mode="eval").data
+    recorded = small_model.forward(pre, post, mode="eval")
+    assert recorded.requires_grad
+    assert np.array_equal(fused, recorded.data)

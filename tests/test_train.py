@@ -267,6 +267,23 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert peak <= 25 << 20, f"{peak / 2**20:.1f} MiB"
 
+    def test_traced_peak_of_a_512_predict(self):
+        """One predict() on a 512x512 C=8 tile peaks at no more than 16 MiB
+        traced (14.9 MiB; 21.9 MiB with a full-size padded copy per conv2d,
+        an upconv2x2 product and pooling buffer at full size, and the
+        decoder holding every difference and the last upsample to the end),
+        so a full-size temporary brought back fails here."""
+        tile = generate_scene(SceneParams(channels=8, size=(512, 512)), seed=3)
+        model = init_model(ModelConfig(in_channels=8, base_width=8), seed=0)
+        predict(model, tile)
+        tracemalloc.start()
+        try:
+            predict(model, tile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20, f"{peak / 2**20:.1f} MiB"
+
     def test_backward_peak_stays_near_the_forward(self):
         """One train-mode forward and hybrid loss at the acceptance config:
         the graph keeps only the arrays its backwards read, so the forward
