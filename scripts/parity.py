@@ -21,6 +21,9 @@ float digests may differ across these.  ``tests/test_parity.py`` checks the
 output against ``tests/golden/parity.txt``, which is regenerated with:
 
     PYTHONPATH=src python scripts/parity.py > tests/golden/parity.txt
+
+The script compares nothing and takes no arguments; given one, it exits
+2 with a usage line before it prints any digest.
 """
 
 import hashlib
@@ -123,5 +126,9 @@ def lines():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:]:
+        print("usage: parity.py > digests.txt (no arguments; the gate is "
+              "pytest tests/test_parity.py)", file=sys.stderr)
+        sys.exit(2)
     for line in lines():
         print(line)

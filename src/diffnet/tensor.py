@@ -59,11 +59,11 @@ the three ops, with their backwards.
 A map of at least ``2 * _BLOCK`` positions per H x W plane (128 x 128 and
 up; the one rule is ``_mid_row``) splits its rows in two, and ``_halves``
 runs the second range on one kept worker thread while the caller runs
-the first, where the process may use two CPUs.  Five forward kernels
+the first, where the process may use two CPUs.  Three forward kernels
 split so: ``conv2d`` (with the epilogue, and its input gradient) at the
-middle block boundary; the elementwise tail of ``batchnorm2d``, whose
-statistics stay on the caller, ``relu`` and ``upconv2x2`` at the middle
-row; and ``maxpool2x2`` at the even row at or below it.  ``upconv2x2``
+middle block boundary, ``upconv2x2`` at the middle row and ``maxpool2x2``
+at the even row at or below it; ``batchnorm2d`` and ``relu``, which
+``predict()`` runs only inside the epilogue, do not.  ``upconv2x2``
 and ``maxpool2x2`` run each range in blocks of about ``_BLOCK`` output
 and input positions respectively.  The bits cannot move: each output
 element gets the same numpy calls on the same operands on either thread,
@@ -163,11 +163,11 @@ def _halves(fn, end: int, mid: int) -> None:
         second.result()
 
 
-def _mid_row(h: int, w: int, step: int = 1) -> int:
-    """The row at which an H x W plane splits for ``_halves``: the middle,
-    rounded down to a multiple of ``step``; 0 (no split) below ``2 * _BLOCK``
-    positions.  Every split kernel asks this one rule."""
-    return h // (2 * step) * step if h * w >= 2 * _BLOCK else 0
+def _mid_row(h: int, w: int) -> int:
+    """The row at which an H x W plane splits for ``_halves``: the middle;
+    0 (no split) below ``2 * _BLOCK`` positions.  Every split kernel asks
+    this one rule."""
+    return h // 2 if h * w >= 2 * _BLOCK else 0
 
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
@@ -499,14 +499,7 @@ def relu(x: Tensor) -> Tensor:
 
     The backward reads the output, not the input: ``out > 0`` is the mask
     ``x > 0``, for signed zeros and NaN too, and the input can be freed."""
-    d = x.data
-    mid = _mid_row(*d.shape[2:]) if d.ndim == 4 else 0
-    if mid:
-        data = np.empty_like(d)
-        _halves(lambda r0, r1: np.maximum(d[:, :, r0:r1], 0, out=data[:, :, r0:r1]),
-                d.shape[2], mid)
-    else:
-        data = np.maximum(d, 0)
+    data = np.maximum(x.data, 0)
 
     def bw(g, nx):
         _accum(nx, g * (data > 0), owned=True)
@@ -814,13 +807,7 @@ def batchnorm2d(
     affine = _bn_affine(mean, var, gamma.data, beta.data)
     mean4, inv4, gamma4 = affine[:3]
     xd = x.data
-    mid = _mid_row(*xd.shape[2:])
-    if mid:
-        out_data = np.empty_like(xd) if buf is None else buf
-        _halves(lambda r0, r1: _bn_tail(xd[:, :, r0:r1], out_data[:, :, r0:r1], *affine),
-                xd.shape[2], mid)
-    else:
-        out_data = _bn_tail(xd, buf, *affine)
+    out_data = _bn_tail(xd, buf, *affine)
 
     def bw(g, nx, ngamma, nbeta):
         xhat = xd - mean4
@@ -874,7 +861,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
         cols = np.maximum(rows[..., 0::2], rows[..., 1::2], out=cols)
         return np.maximum(cols[:, :, 0::2], cols[:, :, 1::2], out=out)
 
-    mid = _mid_row(h, w, step=2)
+    mid = _mid_row(h, w) // 2 * 2
     if mid:
         out_data = np.empty((n, c, h // 2, w // 2), dtype=d.dtype)
         # even rows per block, about 4 * _BLOCK positions: smaller blocks

@@ -47,3 +47,16 @@ def test_machine_key_names_the_blas_core(parity):
     env = os.environ | {"OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "Haswell", out.stderr
+
+
+def test_an_argument_is_refused_before_any_digest():
+    """The script takes no arguments, so ``--check golden.txt`` cannot
+    look like a comparison that passed: it exits 2 and prints nothing."""
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "parity.py"), "--check", str(GOLDEN)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "pytest tests/test_parity.py" in out.stderr
