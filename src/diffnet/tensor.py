@@ -57,26 +57,33 @@ asks for it in an eval forward under ``no_grad``, which is every
 the three ops, with their backwards.
 
 A map of at least ``2 * _BLOCK`` positions per H x W plane (128 x 128 and
-up; the one rule is ``_mid_row``) splits its rows in two, and ``_halves``
-runs the second range on one kept worker thread while the caller runs
-the first, where the process may use two CPUs.  Three forward kernels
-split so: ``conv2d`` (with the epilogue, and its input gradient) at the
-middle block boundary, ``upconv2x2`` at the middle row and ``maxpool2x2``
-at the even row at or below it; ``batchnorm2d`` and ``relu``, which
-``predict()`` runs only inside the epilogue, do not.  ``upconv2x2``
-and ``maxpool2x2`` run each range in blocks of about ``_BLOCK`` output
-and input positions respectively.  The bits cannot move: each output
-element gets the same numpy calls on the same operands on either thread,
-no reduction is split, and ``conv2d``'s blocks are cut the same way with
-one CPU or two.  (Each ``upconv2x2`` input pixel is one GEMM column,
-which BLAS sums in the same order at any block width; the whole-map
-tests and the parity digests check it.)  The worker allocates nothing:
+up) splits its rows in two, and ``_halves`` runs the second range on one
+kept worker thread while the caller runs the first, where the process
+may use two CPUs.  Three forward kernels split so: ``conv2d`` (with the
+epilogue, and its input gradient) at the middle block boundary,
+``upconv2x2`` at the middle row and ``maxpool2x2`` at the even row at or
+below it; ``batchnorm2d`` and ``relu``, which ``predict()`` runs only
+inside the epilogue, do not.  A ``conv2d`` on a smaller map splits too,
+in two blocks, when its call does at least ``_SPLIT_MACS`` multiply-adds
+(N * C_in * C_out * k * k * H * W), since its cost follows that count, not
+the map size; but only where two CPUs are usable, as on one the two
+blocks ran slower than one.  The one rule for both is ``_mid_row``.
+``upconv2x2`` and ``maxpool2x2`` run each range in blocks of about
+``_BLOCK`` output and input positions respectively.  The bits cannot
+move: each output element gets the same numpy calls on the same operands
+on either thread, no reduction is split, and a map of ``2 * _BLOCK``
+positions or more has its ``conv2d`` blocks cut the same way with one
+CPU or two.  (Each ``upconv2x2`` input pixel, and each output position
+of a ``conv2d`` tap, is one GEMM column, which BLAS sums in the same
+order at any block width, so a smaller map that splits only on two CPUs
+gives the bits of its one block; the whole-map tests and the parity
+digests check it.)  The worker allocates nothing:
 the caller allocates every output and one set of block buffers per
 range, since an array made on the worker comes from a second glibc arena
 and raises peak RSS.  Each kernel writes its work once, as a body over a
-range of rows; a smaller map calls that body once on the whole map,
-without the worker, the preallocated outputs or ``_halves``, whose
-per-call cost showed on 64 x 64 tiles.
+range of rows; a map that does not split calls that body once on the
+whole map, without the worker, the preallocated outputs or ``_halves``,
+whose per-call cost showed on 64 x 64 tiles.
 
 Working precision is float32; every kernel is dtype-generic, so the same
 ops run in float64 for numeric gradient checking.  Image tensors use the
@@ -100,6 +107,12 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # rows, so that a block's accumulator and tap product stay in L2 across
 # all taps; a map of at least two blocks splits its rows across two threads
 _BLOCK = 8192
+
+# a conv2d of at least this many multiply-adds per call splits a smaller
+# map too, in two blocks, where the process may use two CPUs: every 3x3
+# conv of a 512 x 512 predict() does 75.5 M or more, while train at 64 x 64,
+# batch 4 does at most 9.4 M and a 64 x 64 predict() at most 2.4 M
+_SPLIT_MACS = 1 << 25
 
 # batchnorm2d's variance offset and running-statistics update rate
 _BN_EPS = 1e-5
@@ -140,12 +153,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_worker.clear)
 
 
+def _two_cpus() -> bool:
+    """Whether the process may run on two CPUs or more."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
 def _halves(fn, end: int, mid: int) -> None:
     """Run ``fn(0, mid)`` here and ``fn(mid, end)`` on the kept worker
     thread, in a copy of this context so that ``np.errstate`` and graph
     mode hold there too; both here, in order, where the process may use
     one CPU only.  ``fn`` only fills arrays the caller allocated."""
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    if not _two_cpus():
         fn(0, mid)
         fn(mid, end)
         return
@@ -163,11 +181,17 @@ def _halves(fn, end: int, mid: int) -> None:
         second.result()
 
 
-def _mid_row(h: int, w: int) -> int:
-    """The row at which an H x W plane splits for ``_halves``: the middle;
-    0 (no split) below ``2 * _BLOCK`` positions.  Every split kernel asks
+def _mid_row(h: int, w: int, macs: int = 0) -> int:
+    """The row at which an H x W plane splits for ``_halves``: the middle,
+    or 0 for no split.  A plane of at least ``2 * _BLOCK`` positions
+    splits; so does a smaller one whose op does at least ``_SPLIT_MACS``
+    multiply-adds per call (``macs``, which only ``conv2d`` passes), but
+    only where the process may use two CPUs: on one, such a map cut in two
+    blocks ran about 15 % slower than in one.  Every split kernel asks
     this one rule."""
-    return h // 2 if h * w >= 2 * _BLOCK else 0
+    if h * w >= 2 * _BLOCK or macs >= _SPLIT_MACS and _two_cpus():
+        return h // 2
+    return 0
 
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
@@ -581,7 +605,8 @@ def _shifted_taps(pairs: list, x: np.ndarray, k: int, bias=None, bn=None, flat=N
     the map.
 
     The H rows split into near-equal blocks of whole rows, of about
-    ``_BLOCK`` to ``2 * _BLOCK`` positions (one block when there are fewer).
+    ``_BLOCK`` to ``2 * _BLOCK`` positions (one block when there are fewer,
+    two when ``_mid_row`` splits a smaller map for its multiply-adds).
     With two blocks or more, each block pads its own rows and their halo
     into a block-sized buffer (``_pad_rows``), so the padded map never
     exists at full size; one block reads ``_pad_flat(x, k)``, as does a
@@ -593,31 +618,35 @@ def _shifted_taps(pairs: list, x: np.ndarray, k: int, bias=None, bn=None, flat=N
     place, which is bitwise ``sum[..., :w] + bias``; the Wp-wide sum never
     exists at full size.
 
-    On an H x W plane that ``_mid_row`` splits (which has two blocks or
-    more), the blocks split at the middle block boundary into two row
-    ranges, each with its own block buffers, and the second range runs on
-    ``_halves``'s worker thread.  A block is padded, summed, cropped and
-    normalized the same way on either thread, so the bits do not move.
+    On an H x W plane that ``_mid_row`` splits, by its size or by the
+    N * rows * C * pairs * H * W multiply-adds of the call, the blocks split
+    at the middle block boundary into two row ranges, each with its own
+    block buffers, and the second range runs on ``_halves``'s worker
+    thread.  A block is padded, summed, cropped and normalized the same
+    way on either thread, so the bits do not move.
     """
     (tap0, off0), rest = pairs[0], pairs[1:]
     n, c, h, w = x.shape
     rows, wp = tap0.shape[0], w + k - 1
-    nb = max(1, min(h, h * wp // _BLOCK))
+    split = _mid_row(h, w, n * rows * c * len(pairs) * h * w)
+    nb = max(2 if split else 1, min(h, h * wp // _BLOCK))
     if flat is None and (nb == 1 or k == 1):
         flat = _pad_flat(x, k)  # the whole map is one block, or needs no padding
     bounds = [h * b // nb for b in range(nb + 1)]
     dtype = np.result_type(tap0, x)
     shape = (n, rows, h, w)
     out_dtype = dtype if bias is None else np.result_type(dtype, bias)
-    mid = _mid_row(h, w) and nb // 2  # the split block, 0 for none
+    mid = split and nb // 2  # the split block, 0 for none
     tall = -(-h // nb)  # rows of the largest block
     size = n * rows * tall * wp
     pad_size = n * c * ((tall + k - 1) * wp + k - 1)
+    # the result before the block buffers: they are freed on return and so
+    # leave their hole above it (peak RSS of a 512 x 512 predict() -1.5 MiB)
+    out = np.empty(shape, dtype=out_dtype) if nb > 1 else None
     # the sum, tap-product and padded-input block buffers, one set per row range
     bufs = [(np.empty(size, dtype=dtype), np.empty(size, dtype=dtype),
              None if flat is not None else np.empty(pad_size, dtype=x.dtype))
             for _ in range(2 if mid else 1)]
-    out = np.empty(shape, dtype=out_dtype) if nb > 1 else None
 
     def run(b0, b1):  # blocks b0 .. b1 - 1
         nonlocal out, flat

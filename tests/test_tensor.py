@@ -27,6 +27,7 @@ from diffnet.errors import ContractError, ShapeError
 from diffnet.losses import LossConfig
 from diffnet.tensor import (
     _BLOCK,
+    _SPLIT_MACS,
     _consumed,
     _pin_malloc,
     Tensor,
@@ -746,6 +747,15 @@ def split_map(rng):
     return x
 
 
+def work_map(rng):
+    """A float32 map under 2 * _BLOCK positions per plane whose 3x3 conv to
+    64 channels, enc4's of a 512 x 512 predict(), does at least _SPLIT_MACS
+    multiply-adds: with two CPUs it splits in two blocks, at row 32."""
+    x = randn(rng, 1, 32, 64, 64)
+    assert 64 * 64 < 2 * _BLOCK and 32 * 64 * 9 * 64 * 64 >= _SPLIT_MACS
+    return x
+
+
 def conv2d_run(x, wt, b, up):
     tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wt, b))
     out = conv2d(tx, tw, tb)
@@ -765,15 +775,25 @@ class TestTwoRowRanges:
     epilogue, and its input gradient, ``maxpool2x2`` and ``upconv2x2``;
     ``batchnorm2d`` and ``relu`` do not split) gives the same bits with two
     usable CPUs, its second row range on the worker thread, as with one,
-    both ranges here, and as its body called once on the whole map, as for
-    a small map."""
+    and as its body called once on the whole map, as for a small map.  On
+    one CPU a large map runs both ranges here; a conv2d on a smaller map
+    that splits for its multiply-adds keeps its one block there."""
 
     @staticmethod
     def same_bits(monkeypatch, run):
+        halves, splits = tensor_module._halves, []
+
+        def counted(fn, end, mid):
+            splits.append(mid)
+            halves(fn, end, mid)
+
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(tensor_module, "_halves", counted)
         split = run()
+        assert splits
         one_cpu(monkeypatch)
         serial = run()
-        monkeypatch.setattr(tensor_module, "_mid_row", lambda h, w: 0)
+        monkeypatch.setattr(tensor_module, "_mid_row", lambda h, w, macs=0: 0)
         whole = run()
         for a, b, c in zip(split, serial, whole, strict=True):
             assert np.array_equal(a, b)
@@ -797,6 +817,26 @@ class TestTwoRowRanges:
         bn = bn_args(rng, 6, np.float32)
         with no_grad():
             self.same_bits(monkeypatch, lambda: [conv2d(x, wt, b, eval_bn_relu=bn).data])
+
+    def test_conv2d_by_its_work(self, rng, monkeypatch):
+        x, wt, b = work_map(rng), randn(rng, 64, 32, 3, 3), randn(rng, 64)
+        up = randn(rng, 1, 64, 64, 64)
+        self.same_bits(monkeypatch, lambda: conv2d_run(x, wt, b, up))
+
+    def test_fused_eval_conv2d_by_its_work(self, rng, monkeypatch):
+        x, wt, b = Tensor(work_map(rng)), Tensor(randn(rng, 64, 32, 3, 3)), Tensor(randn(rng, 64))
+        bn = bn_args(rng, 64, np.float32)
+        with no_grad():
+            self.same_bits(monkeypatch, lambda: [conv2d(x, wt, b, eval_bn_relu=bn).data])
+
+
+def test_a_map_split_for_its_work_keeps_one_block_on_one_cpu(rng, monkeypatch):
+    """On one CPU such a map ran slower in two blocks than in one."""
+    one_cpu(monkeypatch)
+    monkeypatch.setattr(tensor_module, "_halves", lambda *a: pytest.fail("split on one CPU"))
+    x, wt, b = Tensor(work_map(rng)), Tensor(randn(rng, 64, 32, 3, 3)), Tensor(randn(rng, 64))
+    with no_grad():
+        conv2d(x, wt, b)
 
 
 # Python 3.12 and later warn when a process with threads forks
@@ -1052,6 +1092,7 @@ def test_split_kernels_allocate_nothing_on_the_worker(rng, monkeypatch):
             peaks.append(traced_peak(lambda: fn(mid, end))[1])
 
     monkeypatch.setattr(tensor_module, "_halves", halves)
+    two_cpus(monkeypatch)
     x, wt, b = split_map(rng), randn(rng, 6, 8, 3, 3), randn(rng, 6)
     t, bn = Tensor(x), bn_args(rng, 8, np.float32)
     conv2d_run(x, wt, b, randn(rng, 1, 6, 130, 128))  # forward and input gradient
@@ -1060,7 +1101,10 @@ def test_split_kernels_allocate_nothing_on_the_worker(rng, monkeypatch):
         relu(batchnorm2d(t, *bn, "eval"))  # no split: a range here fails the count
         maxpool2x2(t)
         upconv2x2(t, Tensor(randn(rng, 8, 5, 2, 2)), Tensor(randn(rng, 5)))
-    assert len(peaks) == 5
+        # a smaller map, split in two blocks for its multiply-adds
+        conv2d(Tensor(work_map(rng)), Tensor(randn(rng, 64, 32, 3, 3)), Tensor(randn(rng, 64)),
+               eval_bn_relu=bn_args(rng, 64, np.float32))
+    assert len(peaks) == 6
     assert max(peaks) <= 16 * 1024, peaks
 
 
@@ -1120,7 +1164,7 @@ def test_upconv2x2_and_maxpool2x2_match_their_whole_map_results(rng, monkeypatch
             return upconv2x2(x, wt, b).data, None if h % 2 else maxpool2x2(x).data
 
     blocked = run()
-    monkeypatch.setattr(tensor_module, "_mid_row", lambda h, w: 0)
+    monkeypatch.setattr(tensor_module, "_mid_row", lambda h, w, macs=0: 0)
     for got, whole in zip(blocked, run(), strict=True):
         assert got is None and whole is None or np.array_equal(got, whole)
 

@@ -13,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from diffnet import model as model_module
+from diffnet import tensor as tensor_module
 from diffnet.cli import _openblas, main
 from diffnet.data import SceneParams, generate_scene, write_tile
 from diffnet.errors import (
@@ -631,3 +633,52 @@ class TestPredict:
         for mask, serial in zip(got, want, strict=True):
             assert np.array_equal(mask, serial)
         assert sum(t.name.startswith("diffnet-split") for t in threading.enumerate()) == 1
+
+
+class TestSplitReach:
+    """With two CPUs usable, every 3x3 conv2d of a 512 x 512 C=8,
+    base-width-8 ``predict()`` splits for its multiply-adds, or its size,
+    while nothing in a ``train()`` step at the acceptance config or in a
+    64 x 64 ``predict()`` of that model reaches ``_halves``: those run
+    every kernel on the calling thread, in one block per map."""
+
+    ACCEPTANCE = ModelConfig(in_channels=8, base_width=8)
+
+    @staticmethod
+    def count(monkeypatch):
+        """Every conv2d the model calls, as [kernel size, its _halves calls],
+        and every _halves call, forward or backward."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        convs, halves = [], []
+        conv2d, split = model_module.conv2d, tensor_module._halves
+
+        def counted_conv2d(x, weight, *args, **kwargs):
+            before = len(halves)
+            out = conv2d(x, weight, *args, **kwargs)
+            convs.append([weight.shape[-1], len(halves) - before])
+            return out
+
+        def counted_halves(fn, end, mid):
+            halves.append(mid)
+            split(fn, end, mid)
+
+        monkeypatch.setattr(model_module, "conv2d", counted_conv2d)
+        monkeypatch.setattr(tensor_module, "_halves", counted_halves)
+        return convs, halves
+
+    def test_every_3x3_conv_of_a_512_tile_splits(self, monkeypatch):
+        tile = generate_scene(SceneParams(channels=8, size=(512, 512)), seed=5)
+        convs, _ = self.count(monkeypatch)
+        predict(init_model(self.ACCEPTANCE, seed=5), tile)
+        assert [s for k, s in convs if k == 3] == [1] * 14
+
+    def test_a_64_tile_and_a_train_step_never_split(self, monkeypatch):
+        params = SceneParams(channels=8, size=(64, 64), burn_fraction_target=0.15)
+        tiles = [generate_scene(params, seed=k) for k in range(2)]
+        convs, halves = self.count(monkeypatch)
+        model = init_model(self.ACCEPTANCE, seed=5)
+        predict(model, tiles[0])
+        assert len(convs) == 15
+        train(model, tiles, TrainConfig(steps=1, batch_size=4, patch_size=64, seed=5))
+        assert len(convs) == 30
+        assert halves == []
